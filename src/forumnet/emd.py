@@ -1,20 +1,20 @@
 """1-D empirical distributions, Wasserstein-1 distance and the shape metric.
 
-The shape metric rescales both distributions to unit variance and takes
-the infimum of their Wasserstein-1 distance over all translations. The
-objective is convex and piecewise linear in the translation, so a
-golden-section search followed by an exact breakpoint refinement finds
-the minimum to machine-level reproducibility.
+The shape metric (EMD*) rescales both distributions to unit variance and
+takes the infimum of their Wasserstein-1 distance over all translations c.
+In quantile form the shifted distance is f(c) = sum_k w_k |a_k + c| (see
+quantile_shift_profile). Its slope is the weight of the a_k above -c minus
+the weight below -c, so f is minimised at c = -m for a weighted median m of
+the a_k, and the distance is sum_k w_k |a_k - m| in closed form, without a
+search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-_GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,11 @@ class EmpiricalDistribution:
     masses: np.ndarray   # positive, summing to 1
     mean: float
     variance: float      # population variance
+    # cumsum(masses), computed once so that pairwise comparisons reuse it
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cdf", np.cumsum(self.masses))
 
     @property
     def std(self) -> float:
@@ -40,7 +45,6 @@ class EmpiricalDistribution:
 @dataclass(frozen=True)
 class AlignmentResult:
     distance: float
-    offset: float  # translation applied to the first distribution
 
 
 def make_distribution(values) -> EmpiricalDistribution:
@@ -57,93 +61,58 @@ def make_distribution(values) -> EmpiricalDistribution:
     return EmpiricalDistribution(support, masses, mean, var)
 
 
+def standardise(p: EmpiricalDistribution) -> EmpiricalDistribution:
+    """Rescale to unit variance; a point mass stays unscaled."""
+    return p.scaled(1.0 / p.std) if p.variance > 0 else p
+
+
 def emd(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Exact Wasserstein-1 distance: integral of |F_p - F_q|."""
-    return _w1(p.support, p.masses, q.support, q.masses)
-
-
-def _w1(sp, mp, sq, mq) -> float:
-    pos = np.concatenate([sp, sq])
-    delta = np.concatenate([mp, -mq])
+    pos = np.concatenate([p.support, q.support])
+    delta = np.concatenate([p.masses, -q.masses])
     order = np.argsort(pos, kind="stable")
     x = pos[order]
     cdf_diff = np.cumsum(delta[order])
     return float(np.abs(cdf_diff[:-1]) @ np.diff(x))
 
 
-def _shift_objective(p, q):
-    sp, mp, sq, mq = p.support, p.masses, q.support, q.masses
-
-    def f(c):
-        return _w1(sp + c, mp, sq, mq)
-
-    return f
-
-
-def emd_star(p: EmpiricalDistribution, q: EmpiricalDistribution,
-             tol: float = 1e-9) -> AlignmentResult:
+def emd_star(p: EmpiricalDistribution,
+             q: EmpiricalDistribution) -> AlignmentResult:
     """Unit-variance rescaling followed by the best-translation distance.
 
     Zero-variance handling: two point masses are at distance 0; if exactly
     one input is a point mass it stays unscaled and the optimum is the
-    other distribution's mean absolute deviation about its median.  Both
-    cases fall out of the generic minimization, which is only short-cut
-    when both variances vanish.
+    other distribution's mean absolute deviation about its median.
     """
-    if p.variance == 0 and q.variance == 0:
-        return AlignmentResult(0.0, q.support[0] - p.support[0])
-    ps = p.scaled(1.0 / p.std) if p.variance > 0 else p
-    qs = q.scaled(1.0 / q.std) if q.variance > 0 else q
-    # quantile form: W1(ps + c, qs) = sum_k w_k |a_k + c|, evaluated in O(m)
-    prof_a, prof_w = quantile_shift_profile(ps, qs)
+    return AlignmentResult(best_shift(standardise(p), standardise(q)))
 
-    def f(c):
-        return float(prof_w @ np.abs(prof_a + c))
 
-    center = qs.mean - ps.mean
-    radius = (ps.support[-1] - ps.support[0]) + (qs.support[-1] - qs.support[0])
-    radius = max(radius, 1.0)
-    a, b = center - radius, center + radius
-    # golden-section search on the convex objective
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
+def best_shift(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
+    """min over c of W1(p shifted by c, q), with p and q used as given.
 
-    # exact refinement: the minimizer of a piecewise-linear convex function
-    # lies at a kink c = -a_k; enumerate the kinks inside [a, b]
-    lo, hi = a - tol, b + tol
-    kinks = -prof_a[(-prof_a >= lo) & (-prof_a <= hi)]
-    cs = np.sort(np.concatenate([[a, b], kinks]))
-    vals = np.abs(prof_a[None, :] + cs[:, None]) @ prof_w
-    best = int(np.argmin(vals))
-    return AlignmentResult(float(vals[best]), float(cs[best]))
+    The minimiser is c = -m for the weighted median m of the quantile
+    differences (see the module docstring).
+    """
+    a, w = quantile_shift_profile(p, q)
+    order = np.argsort(a, kind="stable")
+    cum = np.cumsum(w[order])
+    m = a[order[np.searchsorted(cum, 0.5 * cum[-1])]]
+    return float(w @ np.abs(a - m))
 
 
 def quantile_shift_profile(p: EmpiricalDistribution, q: EmpiricalDistribution):
     """Represent W1(p shifted by c, q) as sum_k w_k |a_k + c|.
 
-    Quantile-function form of the shifted Wasserstein distance; used by the
-    grid-search oracle in tests. Returns (a, w).
+    The union of the two cumulative-mass grids cuts [0, 1] into intervals
+    of width w_k on which both quantile functions are constant; a_k is
+    their difference there. Returns (a, w); best_shift minimises over c.
     """
-    cp = np.concatenate([[0.0], np.cumsum(p.masses)])
-    cq = np.concatenate([[0.0], np.cumsum(q.masses)])
-    levels = np.unique(np.concatenate([cp, cq]))
+    levels = np.unique(np.concatenate([p.cdf, q.cdf]))
     levels = levels[(levels > 0) & (levels <= 1 + 1e-15)]
     w = np.diff(np.concatenate([[0.0], levels]))
-    mids = np.concatenate([[0.0], levels])[:-1] + w / 2
-    ip = np.minimum(np.searchsorted(np.cumsum(p.masses), mids, side="left"),
-                    p.support.size - 1)
-    iq = np.minimum(np.searchsorted(np.cumsum(q.masses), mids, side="left"),
-                    q.support.size - 1)
-    qp = p.support[ip]
-    qq = q.support[iq]
-    return qp - qq, w
+    # the quantile on (previous level, level] is the first support point
+    # whose cumulative mass reaches the level; leaving the last cumulative
+    # mass out of the search clamps levels past it to the last point
+    ip = np.searchsorted(p.cdf[:-1], levels)
+    iq = np.searchsorted(q.cdf[:-1], levels)
+    return p.support[ip] - q.support[iq], w

@@ -89,15 +89,11 @@ def _record_from_mapping(row: dict, where: str) -> PostRecord:
     )
 
 
-def parse_posts(stream, fmt: str = "csv") -> list[PostRecord]:
-    """Parse CSV or JSONL post records, sorted by (timestamp, post_id)."""
-    records = []
+def _numbered_rows(stream, fmt: str):
+    """Yield (line number, field mapping) for each CSV or JSONL record."""
     if fmt == "csv":
         reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            return []
-        for lineno, row in enumerate(reader, start=2):
-            records.append(_record_from_mapping(row, f"line {lineno}"))
+        yield from enumerate(reader, start=2)
     elif fmt == "jsonl":
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
@@ -106,9 +102,25 @@ def parse_posts(stream, fmt: str = "csv") -> list[PostRecord]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"line {lineno}: invalid JSON: {exc}") from None
-            records.append(_record_from_mapping(row, f"line {lineno}"))
+            yield lineno, row
     else:
         raise IngestError(f"unknown input format {fmt!r}")
+
+
+def parse_posts(stream, fmt: str = "csv") -> list[PostRecord]:
+    """Parse CSV or JSONL post records, sorted by (timestamp, post_id).
+
+    A post_id seen twice is an error at the line of its second occurrence.
+    """
+    records = []
+    seen: set[str] = set()
+    for lineno, row in _numbered_rows(stream, fmt):
+        record = _record_from_mapping(row, f"line {lineno}")
+        if record.post_id in seen:
+            raise IngestError(
+                f"line {lineno}: duplicate post_id {record.post_id!r}")
+        seen.add(record.post_id)
+        records.append(record)
     records.sort(key=lambda r: (r.timestamp, r.post_id))
     return records
 

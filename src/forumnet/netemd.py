@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import emd_star, make_distribution
+from .emd import best_shift, emd_star, make_distribution, standardise
 from .orbits import ALL_ORBITS, OrbitMatrix
 
 
@@ -80,11 +80,14 @@ def netemd(a: OrbitMatrix, b: OrbitMatrix, orbits: OrbitSet = OrbitSet()) -> dic
     return {"total": float(np.mean(per)), "per_orbit": per}
 
 
-def _feature_distributions(counts: np.ndarray):
-    return [make_distribution(counts[:, j]) for j in range(counts.shape[1])]
+def _standard_features(columns):
+    """Unit-variance distributions of one network's feature columns."""
+    return [standardise(make_distribution(c)) for c in columns]
 
 
 def _all_pairs(dists_per_net, labels, feature_ids, workers=None):
+    """All-pairs EMD* over per-network feature distributions that are
+    already standardised, so each pair only aligns quantiles."""
     n = len(dists_per_net)
     m = len(feature_ids)
     per = np.zeros((m, n, n))
@@ -93,7 +96,7 @@ def _all_pairs(dists_per_net, labels, feature_ids, workers=None):
     def compute(pair):
         i, j = pair
         return [
-            emd_star(dists_per_net[i][k], dists_per_net[j][k]).distance
+            best_shift(dists_per_net[i][k], dists_per_net[j][k])
             for k in range(m)
         ]
 
@@ -120,9 +123,7 @@ def netemd_matrix(collection, orbits: OrbitSet = OrbitSet(), labels=None,
         raise ValueError("need at least 2 orbit matrices")
     if labels is None:
         labels = [str(i) for i in range(len(mats))]
-    dists = [
-        [make_distribution(m.column(o)) for o in orbits.ids] for m in mats
-    ]
+    dists = [_standard_features(m.column(o) for o in orbits.ids) for m in mats]
     return _all_pairs(dists, labels, orbits.ids, workers)
 
 
@@ -193,5 +194,5 @@ def pca_netemd_matrix(collection, orbits: OrbitSet = OrbitSet(),
     recon = pca_reconstruct(sub, explained_variance)
     if labels is None:
         labels = [str(i) for i in range(len(mats))]
-    dists = [_feature_distributions(r) for r in recon]
+    dists = [_standard_features(r.T) for r in recon]
     return _all_pairs(dists, labels, tuple(range(recon[0].shape[1])), workers)

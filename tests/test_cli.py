@@ -124,6 +124,11 @@ def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
                  "--end", "2020-01-01"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    dup = tmp_path / "dup.csv"
+    lines = Path(posts_csv).read_text().splitlines(keepends=True)
+    dup.write_text("".join(lines + lines[1:2]))
+    assert main(["ingest", "--input", str(dup)]) == 1
+    assert "duplicate post_id" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_two(tmp_path, capsys):

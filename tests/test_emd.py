@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forumnet.emd import (emd, emd_star, make_distribution,
-                          quantile_shift_profile)
+                          quantile_shift_profile, standardise)
 
 
 def grid_min(p, q, rounds=4, points=801):
@@ -128,3 +130,42 @@ def test_emd_star_triangle_vs_path_spot_value():
     tri = make_distribution([2.0, 2.0, 2.0])
     path = make_distribution([1.0, 2.0, 1.0])
     assert emd_star(tri, path).distance == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+
+# orbit-count-like samples: mostly small integers with many ties, a few
+# large ones, and samples that are a single repeated value (point masses)
+_counts = st.one_of(
+    st.lists(st.one_of(st.integers(0, 4), st.integers(0, 500)),
+             min_size=1, max_size=80),
+    st.builds(lambda v, n: [v] * n, st.integers(0, 50), st.integers(1, 80)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_counts, _counts)
+def test_emd_star_is_the_minimum_over_kinks(xs, ys):
+    p, q = make_distribution(xs), make_distribution(ys)
+    a_k, w_k = quantile_shift_profile(standardise(p), standardise(q))
+    # a convex piecewise-linear objective is minimised at one of its kinks
+    kink_min = float((np.abs(a_k[None, :] - a_k[:, None]) @ w_k).min())
+    d = emd_star(p, q).distance
+    assert d == pytest.approx(kink_min, abs=1e-12)
+    assert d == pytest.approx(emd_star(q, p).distance, abs=1e-12)
+    assert emd_star(p, make_distribution(xs[::-1])).distance == 0.0
+
+
+@pytest.mark.parametrize("n", [50, 56, pytest.param(57, marks=pytest.mark.xfail(
+    strict=True, reason=(
+        "quantile_shift_profile drops the top quantile interval when both "
+        "cumulative masses overshoot 1 by more than 1e-15 (57 masses of 1/57)"
+    )))])
+def test_emd_star_equal_size_closed_form(n):
+    x = np.arange(n, dtype=float)
+    y = x ** 2
+    # equal sizes: the quantile difference is the sorted standardised
+    # difference d, and the best shift leaves its mean absolute deviation
+    # about the median
+    d = np.sort(y) / y.std() - np.sort(x) / x.std()
+    expect = float(np.abs(d - np.median(d)).mean())
+    got = emd_star(make_distribution(x), make_distribution(y)).distance
+    assert got == pytest.approx(expect, abs=1e-12)

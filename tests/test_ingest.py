@@ -47,6 +47,16 @@ def test_parse_rejects_bad_rows():
         parse_posts(io.StringIO(""), "xml")
 
 
+def test_parse_rejects_duplicate_post_ids():
+    dup_csv = CSV + "p2,t2,carol,2020-02-04T09:00:00,false,\n"
+    with pytest.raises(IngestError, match=r"^line 5: duplicate post_id 'p2'"):
+        parse_posts(io.StringIO(dup_csv))
+    row = ('{"post_id": "a", "thread_id": "t", "user_id": "u", '
+           '"timestamp": "2021-05-01T00:00:01", "is_original": true}\n')
+    with pytest.raises(IngestError, match=r"^line 3: duplicate post_id 'a'"):
+        parse_posts(io.StringIO(row + "\n" + row.replace('"u"', '"v"')), "jsonl")
+
+
 def test_posts_csv_roundtrip():
     posts = parse_posts(io.StringIO(CSV))
     buf = io.StringIO()
