@@ -15,17 +15,16 @@ from pathlib import Path
 
 from .changes import flag_changes, flags_to_json
 from .graphs import GraphError, build_graph, read_edge_list, write_edge_list
-from .ingest import (IngestError, WindowSpec, make_windows, parse_posts,
-                     window_stats, write_posts_csv)
-from .netemd import (OrbitSet, distance_matrix_from_csv, netemd_matrix,
-                     pca_netemd_matrix)
-from .orbits import ORBITS_BY_SIZE, count_orbits, orbit_matrix_from_csv
-from .pipeline import PipelineConfig, PipelineError, run_pipeline
-from .projection import build_bipartite, project_users, sparsify_threshold
-from .report import HeatmapOptions, discordance_csv, render_heatmap
-from .sentiment import (DiscordanceParams, discordance_window_avg,
-                        flag_sentiment_changes, sentiment_flags_json,
-                        sentiment_metrics, summaries_to_csv, zscore_series)
+from .ingest import (IngestError, WindowSpec, derive_threads, make_windows,
+                     write_posts_csv)
+from .netemd import distance_matrix_from_csv
+from .orbits import count_orbits, orbit_matrix_from_csv
+from .pipeline import (PipelineConfig, PipelineError, compare_orbit_matrices,
+                       discordance_table, inference_artifacts, project_window,
+                       read_posts, run_pipeline, sentiment_artifacts,
+                       windows_table)
+from .report import HeatmapOptions, render_heatmap
+from .sentiment import DiscordanceParams, sentiment_metrics
 from .synth import RegimeScript, ScriptError, generate_forum
 
 log = logging.getLogger("forumnet")
@@ -38,9 +37,19 @@ def _write_out(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _read_posts(args):
-    with open(args.input, newline="") as fh:
-        return parse_posts(fh, args.format)
+def _write_posts(posts, out: str | None):
+    if out:
+        with open(out, "w", newline="") as fh:
+            write_posts_csv(posts, fh)
+    else:
+        write_posts_csv(posts, sys.stdout)
+
+
+def _write_dir(outdir: str, artifacts: dict[str, str]):
+    path = Path(outdir)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        (path / name).write_text(text)
 
 
 def _window_args(p: argparse.ArgumentParser):
@@ -52,53 +61,39 @@ def _window_args(p: argparse.ArgumentParser):
     p.add_argument("--jump", default="1m", help="window jump, e.g. 2m or halfmonth")
 
 
-def _load_windows(args):
+def _load_windows(args, posts=None):
     spec = WindowSpec.from_tokens(args.start, args.end, args.span, args.jump)
-    return make_windows(_read_posts(args), spec)
+    return make_windows(posts or read_posts(args.input, args.format), spec)
 
 
 def cmd_synth(args):
     script = RegimeScript.from_json(Path(args.script).read_text())
     posts = generate_forum(script)
     log.info("generated %d posts", len(posts))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_posts_csv(posts, fh)
-    else:
-        write_posts_csv(posts, sys.stdout)
+    _write_posts(posts, args.out)
 
 
 def cmd_ingest(args):
-    posts = _read_posts(args)
+    posts = read_posts(args.input, args.format)
     log.info("parsed %d posts", len(posts))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_posts_csv(posts, fh)
-    else:
-        write_posts_csv(posts, sys.stdout)
+    _write_posts(posts, args.out)
 
 
 def cmd_windows(args):
-    rows = ["window,posts,threads,users"]
-    for w in _load_windows(args):
-        st = window_stats(w)
-        rows.append(f"{w.label_str},{st['posts']},{st['threads']},{st['users']}")
-    _write_out("\n".join(rows) + "\n", args.out)
+    _write_out(windows_table(_load_windows(args)), args.out)
 
 
 def cmd_project(args):
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    networks = {}
     for w in _load_windows(args):
         try:
-            bip, _, _ = build_bipartite(w)
-            proj = sparsify_threshold(project_users(bip, not args.plain))
+            graph = project_window(w, not args.plain)
         except (GraphError, ValueError) as exc:
             log.warning("window %s skipped: %s", w.label_str, exc)
             continue
-        (outdir / f"network_{w.label_str}.edges").write_text(
-            write_edge_list(proj.sparsified))
-    log.info("edge lists written to %s", outdir)
+        networks[f"network_{w.label_str}.edges"] = write_edge_list(graph)
+    _write_dir(args.outdir, networks)
+    log.info("edge lists written to %s", args.outdir)
 
 
 def cmd_orbits(args):
@@ -113,12 +108,8 @@ def cmd_compare(args):
     labels = args.labels or [Path(p).stem for p in args.orbits]
     if len(labels) != len(mats):
         raise ValueError("label count must match orbit file count")
-    oset = OrbitSet(ORBITS_BY_SIZE[args.max_size])
-    if args.mode == "pca-netemd":
-        d = pca_netemd_matrix(mats, oset, args.explained_variance, labels,
-                              args.workers)
-    else:
-        d = netemd_matrix(mats, oset, labels, args.workers)
+    d = compare_orbit_matrices(mats, labels, args.max_size, args.mode,
+                               args.explained_variance, args.workers)
     _write_out(d.to_csv(), args.out)
 
 
@@ -130,38 +121,22 @@ def cmd_detect(args):
 
 def cmd_sentiment(args):
     summaries = [sentiment_metrics(w) for w in _load_windows(args)]
-    ztable = zscore_series(summaries)
-    flags = flag_sentiment_changes(ztable)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sentiment_summaries.csv").write_text(summaries_to_csv(summaries))
-    (outdir / "sentiment_zscores.csv").write_text(ztable.to_csv())
-    (outdir / "sentiment_flags.json").write_text(sentiment_flags_json(flags))
-    log.info("%d sentiment flag(s)", len(flags))
+    texts, n_flags = sentiment_artifacts(summaries)
+    _write_dir(args.outdir, texts)
+    log.info("%d sentiment flag(s)", n_flags)
 
 
 def cmd_discordance(args):
     params = DiscordanceParams(args.min_window, args.max_window)
-    rows = []
-    for w in _load_windows(args):
-        qualifying = sum(
-            1 for t in w.threads.values()
-            if t.sentiment is not None and t.post_count >= 2
-        )
-        rows.append((w.label_str, discordance_window_avg(w, params), qualifying))
-    _write_out(discordance_csv(rows), args.out)
+    _write_out(discordance_table(_load_windows(args), params), args.out)
 
 
 def cmd_infer(args):
-    # inference needs the full-corpus mixing matrix, which the pipeline
-    # derives; delegate to a sentiment-only pipeline run
-    config = PipelineConfig(
-        input_path=args.input, output_dir=args.outdir,
-        window_start=args.start, window_end=args.end,
-        window_span=args.span, window_jump=args.jump,
-        input_format=args.format,
-    )
-    run_pipeline(config)
+    # ingest, windows, sentiment summaries and inference; no structural stage
+    posts = read_posts(args.input, args.format)
+    summaries = [sentiment_metrics(w) for w in _load_windows(args, posts)]
+    _write_dir(args.outdir, inference_artifacts(
+        posts, derive_threads(posts), summaries, DiscordanceParams()))
     log.info("inference artifacts written to %s", args.outdir)
 
 

@@ -102,6 +102,9 @@ def _numbered_rows(stream, fmt: str):
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"line {lineno}: invalid JSON: {exc}") from None
+            if not isinstance(row, dict):
+                raise IngestError(f"line {lineno}: expected a JSON object, "
+                                  f"got {type(row).__name__}")
             yield lineno, row
     else:
         raise IngestError(f"unknown input format {fmt!r}")

@@ -8,19 +8,19 @@ from pathlib import Path
 
 from . import __version__
 from .changes import flag_changes, flags_to_json
-from .graphs import GraphError, write_edge_list
-from .ingest import (IngestError, WindowSpec, derive_threads, make_windows,
-                     parse_posts, window_stats)
-from .netemd import OrbitSet, netemd_matrix, pca_netemd_matrix
+from .graphs import Graph, GraphError, write_edge_list
+from .ingest import (SENTIMENTS, IngestError, PostRecord, WindowSpec,
+                     derive_threads, make_windows, parse_posts, window_stats)
+from .netemd import DistanceMatrix, OrbitSet, netemd_matrix, pca_netemd_matrix
 from .orbits import ORBITS_BY_SIZE, count_orbits
 from .projection import build_bipartite, project_users, sparsify_threshold
 from .report import HeatmapOptions, discordance_csv, render_heatmap, series_csv
 from .sentiment import (DiscordanceParams, discordance_thread,
                         discordance_window_avg, flag_sentiment_changes,
                         infer_discordance, infer_post_sentiment,
-                        inferred_ratio_zscores, mixing_matrix,
-                        sentiment_flags_json, sentiment_metrics,
-                        summaries_to_csv, zscore_series)
+                        inferred_ratio_zscores, labeled_sequences,
+                        mixing_matrix, sentiment_flags_json,
+                        sentiment_metrics, summaries_to_csv, zscore_series)
 
 
 class PipelineError(RuntimeError):
@@ -91,6 +91,89 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+# --- stage functions, shared by run_pipeline and the CLI ---
+
+def read_posts(path: str, fmt: str) -> list[PostRecord]:
+    with open(path, newline="") as fh:
+        return parse_posts(fh, fmt)
+
+
+def windows_table(windows) -> str:
+    """``windows.csv``: post, thread and user counts per window."""
+    rows = ["window,posts,threads,users"]
+    for w in windows:
+        st = window_stats(w)
+        rows.append(f"{w.label_str},{st['posts']},{st['threads']},{st['users']}")
+    return "\n".join(rows) + "\n"
+
+
+def project_window(w, weighted: bool) -> Graph:
+    """Sparsified user network; GraphError/ValueError if it has no edges."""
+    bip, _, _ = build_bipartite(w)
+    return sparsify_threshold(project_users(bip, weighted)).sparsified
+
+
+def compare_orbit_matrices(matrices, labels, orbit_max_size: int, mode: str,
+                           explained_variance: float,
+                           workers: int | None) -> DistanceMatrix:
+    """All-pairs NetEmd (``mode`` "netemd") or PCA-NetEmd distances."""
+    oset = OrbitSet(ORBITS_BY_SIZE[orbit_max_size])
+    if mode == "pca-netemd":
+        return pca_netemd_matrix(matrices, oset, explained_variance, labels,
+                                 workers)
+    return netemd_matrix(matrices, oset, labels, workers)
+
+
+def sentiment_artifacts(summaries) -> tuple[dict[str, str], int]:
+    """Sentiment summaries, Z-scores and flags by artifact name; flag count."""
+    ztable = zscore_series(summaries)
+    sflags = flag_sentiment_changes(ztable)
+    return {
+        "sentiment_summaries.csv": summaries_to_csv(summaries),
+        "sentiment_zscores.csv": ztable.to_csv(),
+        "sentiment_flags.json": sentiment_flags_json(sflags),
+    }, len(sflags)
+
+
+def discordance_table(windows, params: DiscordanceParams) -> str:
+    """``discordance.csv``: per-window average and the threads it is over."""
+    rows = []
+    for w in windows:
+        counted = sum(map(params.qualifies, labeled_sequences(w.posts).values()))
+        rows.append((w.label_str, discordance_window_avg(w, params), counted))
+    return discordance_csv(rows)
+
+
+def inference_artifacts(posts, threads, summaries,
+                        params: DiscordanceParams) -> dict[str, str]:
+    """Mixing matrix and inferred series by artifact name.
+
+    The matrix comes from the labeled posts of the corpus's labeled
+    threads and is applied to the windows' post counts; the inferred
+    discordance needs a qualifying thread in every class. Raises
+    ValueError when a thread class has no labeled posts.
+    """
+    sequences = {tid: seq for tid, seq in labeled_sequences(posts).items()
+                 if threads[tid].sentiment is not None}
+    m = mixing_matrix((threads[tid].sentiment, seq)
+                      for tid, seq in sequences.items())
+    cols = {f"inferred_{r}": z for r, z in
+            inferred_ratio_zscores(infer_post_sentiment(summaries, m)).items()}
+    per_class: dict[str, list] = {}
+    for tid, seq in sequences.items():
+        if params.qualifies(seq):
+            per_class.setdefault(threads[tid].sentiment, []).append(
+                discordance_thread(seq, params))
+    if all(per_class.get(s) for s in SENTIMENTS):
+        avgs = {s: sum(v) / len(v) for s, v in per_class.items()}
+        cols["inferred_discordance"] = infer_discordance(summaries, avgs)
+    return {
+        "mixing_matrix.csv": "\n".join(
+            ",".join("%.9g" % v for v in row) for row in m) + "\n",
+        "inferred.csv": series_csv([s.label for s in summaries], cols),
+    }
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and persist its artifact; returns the manifest.
 
@@ -106,47 +189,36 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _write(out / name, text)
         artifacts.append(name)
 
-    # ingest
     try:
-        with open(config.input_path, newline="") as fh:
-            posts = parse_posts(fh, config.input_format)
+        posts = read_posts(config.input_path, config.input_format)
         threads = derive_threads(posts)
     except (OSError, IngestError) as exc:
         raise PipelineError("ingest", exc) from exc
     if not posts:
         raise PipelineError("ingest", "no posts in input")
 
-    # windows
     try:
         windows = make_windows(posts, config.window_spec())
     except IngestError as exc:
         raise PipelineError("windows", exc) from exc
     if len(windows) < 2:
         raise PipelineError("windows", f"only {len(windows)} window(s) in range")
-    stats_rows = ["window,posts,threads,users"]
-    for w in windows:
-        st = window_stats(w)
-        stats_rows.append(f"{w.label_str},{st['posts']},{st['threads']},{st['users']}")
-    emit("windows.csv", "\n".join(stats_rows) + "\n")
+    emit("windows.csv", windows_table(windows))
 
-    # projection + orbit census per window
-    orbit_ids = ORBITS_BY_SIZE[config.orbit_max_size]
     matrices = []
     labels = []
     skipped = []
     for w in windows:
         try:
-            bip, _, _ = build_bipartite(w)
-            weighted = project_users(bip, config.projection == "weighted")
-            proj = sparsify_threshold(weighted)
+            graph = project_window(w, config.projection == "weighted")
         except (GraphError, ValueError) as exc:
             skipped.append({"window": w.label_str, "reason": str(exc)})
             continue
         try:
-            om = count_orbits(proj.sparsified, config.orbit_max_size)
+            om = count_orbits(graph, config.orbit_max_size)
         except Exception as exc:
             raise PipelineError("orbits", f"window {w.label_str}: {exc}") from exc
-        emit(f"network_{w.label_str}.edges", write_edge_list(proj.sparsified))
+        emit(f"network_{w.label_str}.edges", write_edge_list(graph))
         emit(f"orbits_{w.label_str}.csv", om.to_csv())
         matrices.append(om)
         labels.append(w.label_str)
@@ -155,14 +227,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "projection", f"only {len(matrices)} usable windows after projection"
         )
 
-    # distance matrix
     try:
-        oset = OrbitSet(orbit_ids)
-        if config.comparison == "pca-netemd":
-            dmat = pca_netemd_matrix(matrices, oset, config.explained_variance,
-                                     labels, config.workers)
-        else:
-            dmat = netemd_matrix(matrices, oset, labels, config.workers)
+        dmat = compare_orbit_matrices(matrices, labels, config.orbit_max_size,
+                                      config.comparison,
+                                      config.explained_variance, config.workers)
     except ValueError as exc:
         raise PipelineError("compare", exc) from exc
     emit("distances.csv", dmat.to_csv())
@@ -172,7 +240,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         for idx, oid in enumerate(dmat.feature_ids):
             emit(f"distances_orbit{oid}.csv", dmat.per_orbit_csv(idx))
 
-    # change flags
     try:
         cflags = flag_changes(dmat, config.jumps)
     except ValueError as exc:
@@ -188,59 +255,19 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "change_flags": len(cflags),
     }
 
-    # sentiment metrics, Z-scores, discordance, inference
     if config.sentiment:
         params = DiscordanceParams(config.discordance_min, config.discordance_max)
         summaries = [sentiment_metrics(w) for w in windows]
-        emit("sentiment_summaries.csv", summaries_to_csv(summaries))
+        texts, n_flags = sentiment_artifacts(summaries)  # >= 2 windows
+        manifest["sentiment_flags"] = n_flags
+        texts["discordance.csv"] = discordance_table(windows, params)
         try:
-            ztable = zscore_series(summaries)
-        except ValueError as exc:
-            raise PipelineError("sentiment", exc) from exc
-        emit("sentiment_zscores.csv", ztable.to_csv())
-        sflags = flag_sentiment_changes(ztable)
-        emit("sentiment_flags.json", sentiment_flags_json(sflags))
-        manifest["sentiment_flags"] = len(sflags)
-
-        disc_rows = []
-        for w in windows:
-            labeled = [
-                t for t in w.threads.values()
-                if t.sentiment is not None and t.post_count >= 2
-            ]
-            disc_rows.append((w.label_str, discordance_window_avg(w, params),
-                              len(labeled)))
-        emit("discordance.csv", discordance_csv(disc_rows))
-
-        # mixing matrix + inference from the labeled corpus itself
-        samples = []
-        per_thread_sents: dict[str, list] = {}
-        for p in posts:
-            if p.sentiment is not None and threads[p.thread_id].sentiment is not None:
-                per_thread_sents.setdefault(p.thread_id, []).append(p.sentiment)
-        for tid, sents in per_thread_sents.items():
-            samples.append((threads[tid].sentiment, sents))
-        try:
-            m = mixing_matrix(samples)
+            texts.update(inference_artifacts(posts, threads, summaries, params))
         except ValueError as exc:
             manifest["inference"] = f"skipped: {exc}"
-        else:
-            emit("mixing_matrix.csv", "\n".join(
-                ",".join("%.9g" % v for v in row) for row in m) + "\n")
-            inferred = infer_post_sentiment(summaries, m)
-            iz = inferred_ratio_zscores(inferred)
-            cols = {f"inferred_{r}": iz[r] for r in iz}
-            per_class: dict[str, list] = {}
-            for tid, sents in per_thread_sents.items():
-                if len(sents) >= 2:
-                    per_class.setdefault(threads[tid].sentiment, []).append(
-                        discordance_thread(sents, params))
-            if all(per_class.get(s) for s in ("positive", "neutral", "negative")):
-                avgs = {s: sum(v) / len(v) for s, v in per_class.items()}
-                cols["inferred_discordance"] = infer_discordance(summaries, avgs)
-            emit("inferred.csv", series_csv([s.label for s in summaries], cols))
+        for name, text in texts.items():
+            emit(name, text)
 
-    emit_names = sorted(artifacts)
-    manifest["artifacts"] = emit_names
+    manifest["artifacts"] = sorted(artifacts)
     _write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return manifest

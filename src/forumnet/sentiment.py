@@ -6,7 +6,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -18,18 +18,6 @@ SENTIMENT_COMBOS = tuple(
     for k in (1, 2, 3)
     for c in combinations(SENTIMENTS, k)
 )
-
-PAIR_DISTANCE = {
-    ("positive", "positive"): 0,
-    ("neutral", "neutral"): 0,
-    ("negative", "negative"): 0,
-    ("positive", "neutral"): 1,
-    ("neutral", "positive"): 1,
-    ("negative", "neutral"): 1,
-    ("neutral", "negative"): 1,
-    ("positive", "negative"): 2,
-    ("negative", "positive"): 2,
-}
 
 
 @dataclass
@@ -199,53 +187,58 @@ class DiscordanceParams:
         if self.min_window < 2 or self.max_window < self.min_window:
             raise ValueError("discordance window sizes must satisfy 2 <= min <= max")
 
+    def qualifies(self, labels) -> bool:
+        """A thread counts when its labeled posts fill the smallest window."""
+        return len(labels) >= self.min_window
 
-def _max_window_discordance(D: int) -> int:
-    # achievable per-window maximum: a balanced positive/negative split
-    return 2 * (D // 2) * ((D + 1) // 2)
+
+def labeled_sequences(posts) -> dict[str, list[str]]:
+    """Non-null post labels by thread, in the (timestamp) order of ``posts``."""
+    per_thread: dict[str, list] = {}
+    for p in posts:
+        if p.sentiment is not None:
+            per_thread.setdefault(p.thread_id, []).append(p.sentiment)
+    return per_thread
 
 
 def discordance_thread(sentiments, params: DiscordanceParams = DiscordanceParams()) -> float:
     """Normalized local disagreement of an ordered sentiment sequence.
 
-    For each window size D the sliding-window pair distances are summed and
-    divided by the attainable maximum (windows x per-window max); the index
-    is the mean over window sizes, in [0, 1].
+    Two labels are |a - b| apart in ``SENTIMENTS`` order (positive 0,
+    neutral 1, negative 2), so a window holding k0, k1, k2 of each has
+    total pair distance k0*k1 + k1*k2 + 2*k0*k2, read from prefix counts.
+    For each window size D the sliding-window totals are summed and divided
+    by the attainable maximum (windows x per-window max); the index is the
+    mean over window sizes, in [0, 1], and 0.0 when no window size fits.
     """
-    seq = list(sentiments)
-    n = len(seq)
-    if n < 2:
+    codes = [SENTIMENTS.index(s) for s in sentiments]
+    n = len(codes)
+    if n < params.min_window:
         return 0.0
+    pos = list(accumulate((c == 0 for c in codes), initial=0))
+    neu = list(accumulate((c == 1 for c in codes), initial=0))
     per_d = []
     for D in range(params.min_window, min(params.max_window, n) + 1):
         total = 0
-        for start in range(n - D + 1):
-            window = seq[start:start + D]
-            for i in range(D):
-                for j in range(i + 1, D):
-                    total += PAIR_DISTANCE[(window[i], window[j])]
-        per_d.append(total / ((n - D + 1) * _max_window_discordance(D)))
+        for pos_lo, pos_hi, neu_lo, neu_hi in zip(pos, pos[D:], neu, neu[D:]):
+            k0 = pos_hi - pos_lo
+            k1 = neu_hi - neu_lo
+            # k0*k1 + k1*k2 == k1*(D - k1), and k2 == D - k0 - k1
+            total += k1 * (D - k1) + 2 * k0 * (D - k0 - k1)
+        # attainable per-window maximum: a balanced positive/negative split
+        most = 2 * (D // 2) * ((D + 1) // 2)
+        per_d.append(total / ((n - D + 1) * most))
     return sum(per_d) / len(per_d)
 
 
 def discordance_window_avg(w: WindowSlice,
                            params: DiscordanceParams = DiscordanceParams()):
-    """Mean thread discordance over threads with >=2 labeled in-window posts.
-
-    Returns None when no thread qualifies.
-    """
-    per_thread: dict[str, list] = {}
-    for p in w.posts:  # posts already in timestamp order
-        if p.sentiment is not None:
-            per_thread.setdefault(p.thread_id, []).append(p.sentiment)
-    vals = [
-        discordance_thread(seq, params)
-        for seq in per_thread.values()
-        if len(seq) >= 2
-    ]
-    if not vals:
-        return None
-    return sum(vals) / len(vals)
+    """Mean thread discordance over threads whose labeled in-window posts
+    qualify; None when none does."""
+    vals = [discordance_thread(seq, params)
+            for seq in labeled_sequences(w.posts).values()
+            if params.qualifies(seq)]
+    return sum(vals) / len(vals) if vals else None
 
 
 def mixing_matrix(samples) -> np.ndarray:

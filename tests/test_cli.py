@@ -104,6 +104,31 @@ def test_infer_command(posts_csv, tmp_path):
     assert (idir / "inferred.csv").exists()
 
 
+def test_infer_runs_no_structural_stage(posts_csv, tmp_path):
+    # two windows are too few for the network comparison, not for inference
+    idir = tmp_path / "infer"
+    rc = main(["infer", "--input", posts_csv, "--start", "2020-01-01",
+               "--end", "2020-03-01", "--outdir", str(idir)])
+    assert rc == 0
+    assert sorted(p.name for p in idir.iterdir()) == [
+        "inferred.csv", "mixing_matrix.csv"]
+    assert len((idir / "inferred.csv").read_text().splitlines()) == 3
+
+
+def test_discordance_skips_threads_shorter_than_min_window(tmp_path, capsys):
+    posts = tmp_path / "posts.csv"
+    posts.write_text(
+        "post_id,thread_id,user_id,timestamp,is_original,sentiment\n"
+        "p1,t1,a,2020-01-05T00:00:00,true,positive\n"
+        "p2,t1,b,2020-01-06T00:00:00,false,negative\n")
+    args = ["discordance", "--input", str(posts), "--start", "2020-01-01",
+            "--end", "2020-02-01"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2020-01-01,1,1"
+    assert main(args + ["--min-window", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2020-01-01,,0"
+
+
 def test_run_command(posts_csv, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
@@ -129,6 +154,10 @@ def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
     dup.write_text("".join(lines + lines[1:2]))
     assert main(["ingest", "--input", str(dup)]) == 1
     assert "duplicate post_id" in capsys.readouterr().err
+    scalar = tmp_path / "scalar.jsonl"
+    scalar.write_text("5\n")
+    assert main(["ingest", "--input", str(scalar), "--format", "jsonl"]) == 1
+    assert "line 1: expected a JSON object" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_two(tmp_path, capsys):

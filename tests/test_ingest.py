@@ -57,6 +57,12 @@ def test_parse_rejects_duplicate_post_ids():
         parse_posts(io.StringIO(row + "\n" + row.replace('"u"', '"v"')), "jsonl")
 
 
+def test_parse_rejects_jsonl_non_objects():
+    for line in ("5", "[1, 2]", '"post"', "null"):
+        with pytest.raises(IngestError, match=r"^line 2: expected a JSON object"):
+            parse_posts(io.StringIO("\n" + line + "\n"), "jsonl")
+
+
 def test_posts_csv_roundtrip():
     posts = parse_posts(io.StringIO(CSV))
     buf = io.StringIO()

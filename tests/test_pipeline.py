@@ -1,12 +1,14 @@
 import json
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
 
 import pytest
 
-from forumnet.pipeline import PipelineConfig, PipelineError, run_pipeline
+from forumnet.pipeline import (PipelineConfig, PipelineError,
+                               discordance_table, run_pipeline)
+from forumnet.sentiment import DiscordanceParams
 from forumnet.synth import RegimeScript, Segment, generate_forum
-from forumnet.ingest import write_posts_csv
+from forumnet.ingest import PostRecord, WindowSpec, make_windows, write_posts_csv
 
 MIX = ((0.6, 0.3, 0.1), (0.2, 0.6, 0.2), (0.1, 0.3, 0.6))
 
@@ -100,6 +102,49 @@ def test_unusable_window_is_skipped(tmp_path):
     ))
     assert [s["window"] for s in manifest["skipped_windows"]] == ["2020-04-01"]
     assert len(manifest["windows"]) == 4
+
+
+def test_two_post_thread_with_larger_min_window(tmp_path):
+    sents = ("positive", "neutral", "negative")
+    rows = ["post_id,thread_id,user_id,timestamp,is_original,sentiment"]
+    for month in (1, 2, 3):
+        for t in range(3):
+            for k, user in enumerate("abc"):
+                rows.append(f"m{month}t{t}{user},m{month}t{t},{user},"
+                            f"2020-{month:02d}-05T0{t}:0{k}:00,"
+                            f"{'true' if k == 0 else 'false'},{sents[(t + k) % 3]}")
+    # a thread with two labeled posts, shorter than a 3-post window
+    rows += ["short1,short,a,2020-01-20T00:00:00,true,positive",
+             "short2,short,b,2020-01-21T00:00:00,false,negative"]
+    path = tmp_path / "posts.csv"
+    path.write_text("\n".join(rows) + "\n")
+    manifest = run_pipeline(PipelineConfig(
+        input_path=str(path), output_dir=str(tmp_path / "out"),
+        window_start="2020-01-01", window_end="2020-04-01", discordance_min=3,
+    ))
+    assert {"mixing_matrix.csv", "inferred.csv"} <= set(manifest["artifacts"])
+    lines = (tmp_path / "out" / "discordance.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["3", "3", "3"]
+
+
+def test_discordance_threads_are_those_averaged():
+    def post(day, pid, tid, original, sentiment):
+        return PostRecord(datetime(2020, 1, day), pid, tid, "u" + pid,
+                          original, sentiment)
+
+    posts = [
+        # labeled original, unlabeled reply: one labeled post, not counted
+        post(1, "a1", "a", True, "positive"), post(2, "a2", "a", False, None),
+        # unlabeled originals, two labeled replies: counted and averaged
+        post(3, "b1", "b", True, None), post(4, "b2", "b", False, "positive"),
+        post(5, "b3", "b", False, "negative"),
+        post(6, "c1", "c", True, None), post(7, "c2", "c", False, "neutral"),
+        post(8, "c3", "c", False, "neutral"),
+    ]
+    windows = make_windows(posts, WindowSpec.from_tokens(
+        "2020-01-01", "2020-02-01", "1m", "1m"))
+    assert discordance_table(windows, DiscordanceParams()) == (
+        "label,avg_discordance,n_threads\n2020-01-01,0.5,2\n")
 
 
 def test_ingest_errors(tmp_path):

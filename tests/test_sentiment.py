@@ -4,6 +4,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forumnet.ingest import PostRecord, WindowSpec, make_windows
 from forumnet.sentiment import (SENTIMENT_COMBOS, DiscordanceParams,
@@ -16,6 +18,31 @@ from forumnet.sentiment import (SENTIMENT_COMBOS, DiscordanceParams,
                                 zscore_values)
 
 POS, NEU, NEG = "positive", "neutral", "negative"
+
+PAIR_DISTANCE = {
+    (POS, POS): 0, (NEU, NEU): 0, (NEG, NEG): 0,
+    (POS, NEU): 1, (NEU, POS): 1, (NEG, NEU): 1, (NEU, NEG): 1,
+    (POS, NEG): 2, (NEG, POS): 2,
+}
+
+
+def discordance_by_pairs(sentiments, params=DiscordanceParams()):
+    """Reference discordance: every pair in every sliding window."""
+    seq = list(sentiments)
+    n = len(seq)
+    if n < params.min_window:
+        return 0.0
+    per_d = []
+    for D in range(params.min_window, min(params.max_window, n) + 1):
+        total = 0
+        for start in range(n - D + 1):
+            window = seq[start:start + D]
+            for i in range(D):
+                for j in range(i + 1, D):
+                    total += PAIR_DISTANCE[(window[i], window[j])]
+        most = 2 * (D // 2) * ((D + 1) // 2)
+        per_d.append(total / ((n - D + 1) * most))
+    return sum(per_d) / len(per_d)
 
 
 def summary(label, pos, neu, neg):
@@ -106,6 +133,24 @@ def test_discordance_bounds_and_alternating_max():
     assert discordance_thread([POS, NEG] * 4) == 1.0
 
 
+_params = st.integers(2, 8).flatmap(
+    lambda lo: st.builds(DiscordanceParams, st.just(lo), st.integers(lo, 8)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from((POS, NEU, NEG)), max_size=40), _params)
+def test_discordance_closed_form_matches_pair_oracle(seq, params):
+    assert discordance_thread(seq, params) == discordance_by_pairs(seq, params)
+
+
+def test_discordance_thread_shorter_than_min_window():
+    params = DiscordanceParams(min_window=3, max_window=5)
+    assert discordance_thread([POS, NEG], params) == 0.0
+    assert discordance_thread([POS, NEG, POS], params) == 1.0
+    with pytest.raises(ValueError):
+        discordance_thread([POS, "angry"])
+
+
 def test_discordance_params_validation():
     with pytest.raises(ValueError):
         DiscordanceParams(min_window=1)
@@ -125,6 +170,8 @@ def test_discordance_window_avg():
         "2020-01-01", "2020-02-01", "1m", "1m"))[0]
     # t1 -> 1.0, t2 -> 0.0, t3 has a single labeled post and is skipped
     assert discordance_window_avg(w) == pytest.approx(0.5)
+    # with a smallest window of 3, no thread qualifies
+    assert discordance_window_avg(w, DiscordanceParams(3, 5)) is None
     empty = make_windows(
         [PostRecord(datetime(2020, 1, 1), "p", "t", "u", True, None)],
         WindowSpec.from_tokens("2020-01-01", "2020-02-01", "1m", "1m"))[0]
