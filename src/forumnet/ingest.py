@@ -12,8 +12,10 @@ import calendar
 import csv
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from operator import itemgetter
+from typing import NamedTuple
 
 SENTIMENTS = ("positive", "neutral", "negative")
 
@@ -22,14 +24,18 @@ class IngestError(ValueError):
     """Malformed post data or window specification."""
 
 
-@dataclass(frozen=True, order=True)
-class PostRecord:
+class PostRecord(NamedTuple):
+    """One post.
+
+    A plain tuple: ``==``, hashing and ordering compare all six fields in
+    order, so posts with distinct post ids sort by (timestamp, post_id).
+    """
     timestamp: datetime  # naive UTC, second resolution
     post_id: str
-    thread_id: str = field(compare=False)
-    user_id: str = field(compare=False)
-    is_original: bool = field(compare=False)
-    sentiment: str | None = field(compare=False, default=None)
+    thread_id: str
+    user_id: str
+    is_original: bool
+    sentiment: str | None = None
 
 
 @dataclass
@@ -72,28 +78,60 @@ def _parse_sentiment(raw, where: str) -> str | None:
 
 
 REQUIRED_FIELDS = ("post_id", "thread_id", "user_id", "timestamp", "is_original")
+FIELDS = REQUIRED_FIELDS + ("sentiment",)
+
+# canonical raw values, read without the validators
+_BOOLS = {"true": True, "false": False}
+_LABELS = {"": None, **{s: s for s in SENTIMENTS}}
 
 
-def _record_from_mapping(row: dict, where: str) -> PostRecord:
-    missing = [f for f in REQUIRED_FIELDS if row.get(f) in (None, "")]
-    if missing:
+def _record(values, where: str) -> PostRecord:
+    """Validate one record's raw values, given in ``FIELDS`` order.
+
+    Canonical values (naive whole-second timestamps, lower-case
+    ``true``/``false`` and labels) are taken directly; anything else goes
+    to the validators, which normalise it or raise.
+    """
+    post_id, thread_id, user_id, raw_ts, raw_orig, raw_label = values
+    required = values[:5]
+    if None in required or "" in required:
+        missing = [f for f, v in zip(REQUIRED_FIELDS, required) if v in (None, "")]
         raise IngestError(f"{where}: missing required field(s) {missing}")
-    return PostRecord(
-        timestamp=_parse_timestamp(str(row["timestamp"]), where),
-        post_id=str(row["post_id"]),
-        thread_id=str(row["thread_id"]),
-        user_id=str(row["user_id"]),
-        is_original=_parse_bool(row["is_original"], where)
-        if not isinstance(row["is_original"], bool) else row["is_original"],
-        sentiment=_parse_sentiment(row.get("sentiment"), where),
-    )
+    try:
+        ts = datetime.fromisoformat(raw_ts)
+    except (TypeError, ValueError):
+        ts = None
+    if ts is None or ts.tzinfo is not None or ts.microsecond or "Z" in raw_ts:
+        ts = _parse_timestamp(str(raw_ts), where)
+    flag = _BOOLS.get(raw_orig) if type(raw_orig) is str else raw_orig
+    if type(flag) is not bool:
+        flag = _parse_bool(raw_orig, where)
+    # lists and dicts are unhashable, so only strings are looked up
+    label = _LABELS.get(raw_label, False) if type(raw_label) is str else False
+    if label is False:
+        label = _parse_sentiment(raw_label, where)
+    return PostRecord(ts, str(post_id), str(thread_id), str(user_id), flag, label)
 
 
 def _numbered_rows(stream, fmt: str):
-    """Yield (line number, field mapping) for each CSV or JSONL record."""
+    """Yield (line number, raw values in ``FIELDS`` order) per record.
+
+    The number is the record's first physical line.  A CSV header naming a
+    column twice keeps the last one; a missing column or a short row gives
+    None, extra cells are ignored and blank lines skipped.  JSONL counts
+    every line, blank ones included.
+    """
     if fmt == "csv":
-        reader = csv.DictReader(stream)
-        yield from enumerate(reader, start=2)
+        reader = csv.reader(stream)
+        index = {name: i for i, name in enumerate(next(reader, ()))}
+        # a short row is padded with None; a missing column reads the last pad
+        pad = [None] * (max(index.values(), default=0) + 1)
+        pick = itemgetter(*(index.get(f, -1) for f in FIELDS))
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield lineno, pick(row + pad)
+            lineno = reader.line_num + 1
     elif fmt == "jsonl":
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
@@ -105,7 +143,7 @@ def _numbered_rows(stream, fmt: str):
             if not isinstance(row, dict):
                 raise IngestError(f"line {lineno}: expected a JSON object, "
                                   f"got {type(row).__name__}")
-            yield lineno, row
+            yield lineno, [row.get(f) for f in FIELDS]
     else:
         raise IngestError(f"unknown input format {fmt!r}")
 
@@ -117,20 +155,20 @@ def parse_posts(stream, fmt: str = "csv") -> list[PostRecord]:
     """
     records = []
     seen: set[str] = set()
-    for lineno, row in _numbered_rows(stream, fmt):
-        record = _record_from_mapping(row, f"line {lineno}")
+    for lineno, values in _numbered_rows(stream, fmt):
+        record = _record(values, f"line {lineno}")
         if record.post_id in seen:
             raise IngestError(
                 f"line {lineno}: duplicate post_id {record.post_id!r}")
         seen.add(record.post_id)
         records.append(record)
-    records.sort(key=lambda r: (r.timestamp, r.post_id))
+    records.sort()  # post ids are unique, so tuple order is (timestamp, post_id)
     return records
 
 
 def write_posts_csv(records, stream):
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(REQUIRED_FIELDS + ("sentiment",))
+    writer.writerow(FIELDS)
     for r in records:
         writer.writerow([
             r.post_id, r.thread_id, r.user_id,
@@ -141,13 +179,14 @@ def write_posts_csv(records, stream):
 
 
 def derive_threads(posts) -> dict[str, ThreadRecord]:
-    """Thread metadata from the full post list.
+    """Thread metadata from the full post list, in any order.
 
-    Thread sentiment is the original post's label; a thread must have
-    exactly one original post.
+    Thread sentiment is the original post's label and its creation the
+    original's timestamp, even when a reply is stamped earlier; a thread
+    must have exactly one original post.
     """
     by_thread: dict[str, list[PostRecord]] = {}
-    for p in sorted(posts, key=lambda r: (r.timestamp, r.post_id)):
+    for p in posts:
         by_thread.setdefault(p.thread_id, []).append(p)
     out = {}
     for tid, plist in by_thread.items():
@@ -249,7 +288,7 @@ def make_windows(posts, spec: WindowSpec) -> list[WindowSlice]:
     Thread post/user counts inside each slice are computed from contained
     posts only; thread sentiment comes from the corpus-wide original post.
     """
-    posts = sorted(posts, key=lambda r: (r.timestamp, r.post_id))
+    posts = sorted(posts, key=itemgetter(0, 1))  # (timestamp, post_id)
     sentiments = {}
     creations = {}
     for p in posts:

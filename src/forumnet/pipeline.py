@@ -62,8 +62,9 @@ class PipelineConfig:
             raise ValueError("explained variance must be in (0, 1]")
         if not self.jumps or any(k < 1 for k in self.jumps):
             raise ValueError("jumps must be positive integers")
-        # validates span/jump compatibility up front
+        # validates span/jump compatibility and discordance windows up front
         self.window_spec()
+        DiscordanceParams(self.discordance_min, self.discordance_max)
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec.from_tokens(self.window_start, self.window_end,
@@ -139,8 +140,10 @@ def discordance_table(windows, params: DiscordanceParams) -> str:
     """``discordance.csv``: per-window average and the threads it is over."""
     rows = []
     for w in windows:
-        counted = sum(map(params.qualifies, labeled_sequences(w.posts).values()))
-        rows.append((w.label_str, discordance_window_avg(w, params), counted))
+        sequences = labeled_sequences(w.posts).values()
+        counted = sum(map(params.qualifies, sequences))
+        rows.append((w.label_str, discordance_window_avg(sequences, params),
+                     counted))
     return discordance_csv(rows)
 
 

@@ -231,13 +231,12 @@ def discordance_thread(sentiments, params: DiscordanceParams = DiscordanceParams
     return sum(per_d) / len(per_d)
 
 
-def discordance_window_avg(w: WindowSlice,
+def discordance_window_avg(sequences,
                            params: DiscordanceParams = DiscordanceParams()):
-    """Mean thread discordance over threads whose labeled in-window posts
-    qualify; None when none does."""
+    """Mean thread discordance over the qualifying label sequences (one per
+    thread, as from ``labeled_sequences``); None when none qualifies."""
     vals = [discordance_thread(seq, params)
-            for seq in labeled_sequences(w.posts).values()
-            if params.qualifies(seq)]
+            for seq in sequences if params.qualifies(seq)]
     return sum(vals) / len(vals) if vals else None
 
 

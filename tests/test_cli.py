@@ -141,6 +141,20 @@ def test_run_command(posts_csv, tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_run_rejects_bad_discordance_windows(posts_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "input_path": posts_csv, "output_dir": str(out),
+        "window_start": "2020-01-01", "window_end": "2020-04-01",
+        "discordance_min": 1,
+    }))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "discordance window sizes" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -158,6 +172,10 @@ def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
     scalar.write_text("5\n")
     assert main(["ingest", "--input", str(scalar), "--format", "jsonl"]) == 1
     assert "line 1: expected a JSON object" in capsys.readouterr().err
+    blank = tmp_path / "blank.csv"  # errors name physical lines
+    blank.write_text("".join(lines[:2]) + "\n\nx1,x1,u,2020-01-02 10:00:00,maybe,\n")
+    assert main(["ingest", "--input", str(blank)]) == 1
+    assert "error: line 5: invalid boolean 'maybe'" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_two(tmp_path, capsys):

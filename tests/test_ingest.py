@@ -1,4 +1,5 @@
 import io
+import json
 from datetime import date, datetime
 
 import pytest
@@ -136,3 +137,96 @@ def test_make_windows_half_open_and_thread_scope():
     assert feb.threads["t1"].post_count == 1
     assert feb.threads["t1"].sentiment == "neutral"
     assert feb.threads["t2"].sentiment is None
+
+
+HEADER = "post_id,thread_id,user_id,timestamp,is_original,sentiment\n"
+ROW = "p1,t1,ann,2020-01-01T10:00:00,true,positive\n"
+
+
+def test_csv_error_lines_are_physical_lines():
+    text = HEADER + ROW + "\n\n" + "p2,t1,bob,2020-01-02T10:00:00,maybe,\n"
+    with pytest.raises(IngestError, match=r"^line 5: invalid boolean 'maybe'$"):
+        parse_posts(io.StringIO(text))
+    # a quoted cell spanning two lines moves the next record down by one
+    text = (HEADER + 'p1,t1,"ann\nsmith",2020-01-01T10:00:00,true,\n'
+            + "p2,t1,bob,2020-01-02T10:00:00,true,happy\n")
+    with pytest.raises(IngestError,
+                       match=r"^line 4: unknown sentiment token 'happy'$"):
+        parse_posts(io.StringIO(text))
+    # the error is at the record's first line, not its last
+    text = HEADER + ROW + 'p2,t1,"bob\nsmith",2020-01-02T10:00:00,yes please,\n'
+    with pytest.raises(IngestError, match=r"^line 3: invalid boolean"):
+        parse_posts(io.StringIO(text))
+
+
+def test_csv_repeated_column_last_one_wins():
+    text = ("post_id,thread_id,user_id,timestamp,is_original,user_id\n"
+            "p1,t1,first,2020-01-01T10:00:00,true,last\n")
+    assert parse_posts(io.StringIO(text))[0].user_id == "last"
+    # a row too short to reach the last copy leaves the field missing
+    text = ("user_id,post_id,thread_id,timestamp,is_original,user_id\n"
+            "first,p1,t1,2020-01-01T10:00:00,true\n")
+    with pytest.raises(IngestError,
+                       match=r"^line 2: missing required field\(s\) \['user_id'\]"):
+        parse_posts(io.StringIO(text))
+
+
+def test_csv_missing_column_and_short_row():
+    text = "post_id,thread_id,timestamp,is_original\np1,t1,2020-01-01,true\n"
+    with pytest.raises(IngestError,
+                       match=r"^line 2: missing required field\(s\) \['user_id'\]"):
+        parse_posts(io.StringIO(text))
+    with pytest.raises(IngestError, match=r"^line 3: missing required field\(s\) "
+                                          r"\['timestamp', 'is_original'\]"):
+        parse_posts(io.StringIO(HEADER + ROW + "p2,t1,bob\n"))
+    # a short row may still omit the optional sentiment
+    posts = parse_posts(io.StringIO(HEADER + "p1,t1,ann,2020-01-01,true\n"))
+    assert posts[0].sentiment is None
+
+
+def test_csv_extra_cells_are_ignored():
+    posts = parse_posts(io.StringIO(HEADER + ROW.rstrip("\n") + ",x,,maybe\n"))
+    assert posts == [PostRecord(datetime(2020, 1, 1, 10), "p1", "t1", "ann",
+                                True, "positive")]
+
+
+def test_jsonl_value_types():
+    def parse(**fields):
+        row = {"post_id": "a", "thread_id": "t", "user_id": "u",
+               "timestamp": "2021-05-01T00:00:01", **fields}
+        return parse_posts(io.StringIO(json.dumps(row) + "\n"), "jsonl")
+
+    assert parse(is_original=True)[0].is_original is True
+    assert parse(is_original=0)[0].is_original is False
+    assert parse(is_original="TRUE", sentiment=" Negative ")[0].sentiment == "negative"
+    with pytest.raises(IngestError, match=r"^line 1: unknown sentiment token \[1\]"):
+        parse(is_original=True, sentiment=[1])
+    with pytest.raises(IngestError, match=r"^line 1: invalid boolean \{\}"):
+        parse(is_original={})
+
+
+def test_timestamps_normalise_to_naive_utc_seconds():
+    stamps = ["2020-02-03T09:00:00Z", "2020-02-03T11:00:00+02:00",
+              "2020-02-03T09:00:00.999999", "2020-02-03 09:00:00"]
+    text = HEADER + "".join(f"p{i},t{i},u,{ts},true,\n"
+                            for i, ts in enumerate(stamps))
+    posts = parse_posts(io.StringIO(text))
+    assert {p.timestamp for p in posts} == {datetime(2020, 2, 3, 9)}
+    assert [p.post_id for p in posts] == ["p0", "p1", "p2", "p3"]
+
+
+def test_reply_before_original_is_accepted():
+    posts = [
+        PostRecord(datetime(2020, 1, 20), "p1", "t1", "bob", False, "negative"),
+        PostRecord(datetime(2020, 2, 5), "p2", "t1", "ann", True, "positive"),
+    ]
+    threads = derive_threads(posts)
+    assert threads["t1"].creation == datetime(2020, 2, 5)
+    assert threads["t1"].sentiment == "positive"
+    assert (threads["t1"].post_count, threads["t1"].user_count) == (2, 2)
+    assert derive_threads(posts[::-1]) == threads
+    spec = WindowSpec.from_tokens("2020-01-01", "2020-03-01", "1m", "1m")
+    jan, feb = make_windows(posts, spec)
+    assert jan.threads["t1"].creation == datetime(2020, 2, 5)
+    assert jan.threads["t1"].sentiment == "positive"
+    assert feb.threads["t1"].post_count == 1

@@ -181,6 +181,15 @@ def test_config_validation(corpus, tmp_path):
         config(corpus, tmp_path, window_span="1m", window_jump="2m")
 
 
+def test_config_rejects_bad_discordance_windows(corpus, tmp_path):
+    for lo, hi in ((1, 5), (0, 2), (4, 3)):
+        with pytest.raises(ValueError, match="discordance window sizes"):
+            config(corpus, tmp_path, discordance_min=lo, discordance_max=hi)
+    # checked even when the sentiment stage is off
+    with pytest.raises(ValueError, match="discordance window sizes"):
+        config(corpus, tmp_path, sentiment=False, discordance_min=1)
+
+
 def test_config_from_json(corpus, tmp_path):
     text = json.dumps({
         "input_path": corpus, "output_dir": str(tmp_path),

@@ -13,7 +13,8 @@ from forumnet.sentiment import (SENTIMENT_COMBOS, DiscordanceParams,
                                 discordance_thread, discordance_window_avg,
                                 flag_sentiment_changes, infer_discordance,
                                 infer_post_sentiment, inferred_ratio_zscores,
-                                mixing_matrix, sentiment_metrics,
+                                labeled_sequences, mixing_matrix,
+                                sentiment_metrics,
                                 summaries_to_csv, zscore_series,
                                 zscore_values)
 
@@ -168,14 +169,15 @@ def test_discordance_window_avg():
     ]
     w = make_windows(posts, WindowSpec.from_tokens(
         "2020-01-01", "2020-02-01", "1m", "1m"))[0]
+    sequences = labeled_sequences(w.posts).values()
     # t1 -> 1.0, t2 -> 0.0, t3 has a single labeled post and is skipped
-    assert discordance_window_avg(w) == pytest.approx(0.5)
+    assert discordance_window_avg(sequences) == pytest.approx(0.5)
     # with a smallest window of 3, no thread qualifies
-    assert discordance_window_avg(w, DiscordanceParams(3, 5)) is None
+    assert discordance_window_avg(sequences, DiscordanceParams(3, 5)) is None
     empty = make_windows(
         [PostRecord(datetime(2020, 1, 1), "p", "t", "u", True, None)],
         WindowSpec.from_tokens("2020-01-01", "2020-02-01", "1m", "1m"))[0]
-    assert discordance_window_avg(empty) is None
+    assert discordance_window_avg(labeled_sequences(empty.posts).values()) is None
 
 
 TABLE = np.array([
