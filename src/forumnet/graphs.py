@@ -6,7 +6,6 @@ data are mapped to indices at ingestion time and never reach graph math.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -24,16 +23,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbors(self) -> list[list[int]]:
-        """Sorted adjacency lists."""
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
 
     def degrees(self) -> list[int]:
         deg = [0] * self.node_count
@@ -152,24 +141,6 @@ def adjacency_mask(node_count: int, edges) -> int:
     for u, v in edges:
         mask |= 1 << bit[(u, v) if u < v else (v, u)]
     return mask
-
-
-def canonical_small(g: Graph) -> tuple[int, int]:
-    """Canonical identifier for graphs with at most 4 nodes.
-
-    Returns (node_count, minimum adjacency bitmask over all node
-    permutations), so two small graphs get equal identifiers iff they
-    are isomorphic.
-    """
-    n = g.node_count
-    if n > 4:
-        raise GraphError(f"canonical_small requires <= 4 nodes, got {n}")
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mask = adjacency_mask(n, ((perm[u], perm[v]) for u, v in g.edges))
-        if best is None or mask < best:
-            best = mask
-    return (n, best if best is not None else 0)
 
 
 def read_edge_list(lines):

@@ -123,15 +123,19 @@ def _numbered_rows(stream, fmt: str):
     """
     if fmt == "csv":
         reader = csv.reader(stream)
-        index = {name: i for i, name in enumerate(next(reader, ()))}
-        # a short row is padded with None; a missing column reads the last pad
-        pad = [None] * (max(index.values(), default=0) + 1)
-        pick = itemgetter(*(index.get(f, -1) for f in FIELDS))
-        lineno = reader.line_num + 1
-        for row in reader:
-            if row:
-                yield lineno, pick(row + pad)
+        lineno = 1
+        try:
+            index = {name: i for i, name in enumerate(next(reader, ()))}
+            # a short row is padded with None; a missing column reads the last pad
+            pad = [None] * (max(index.values(), default=0) + 1)
+            pick = itemgetter(*(index.get(f, -1) for f in FIELDS))
             lineno = reader.line_num + 1
+            for row in reader:
+                if row:
+                    yield lineno, pick(row + pad)
+                lineno = reader.line_num + 1
+        except csv.Error as exc:
+            raise IngestError(f"line {lineno}: {exc}") from None
     elif fmt == "jsonl":
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():

@@ -13,9 +13,13 @@ The 15 orbits follow the standard numbering for graphlets G0-G8:
     orbit 12  diamond degree-2        orbit 13  diamond degree-3
     orbit 14  K4
 
-``count_orbits`` is the fast combinatorial path; ``count_orbits_bruteforce``
-enumerates every induced connected subgraph and is the ground truth the
-fast path is tested against.
+``count_orbits`` solves the orbit equations of ORCA (Hočevar & Demšar,
+*Bioinformatics* 2014) on one int64 CSR adjacency ``A``: degrees come from
+``A.indptr``, common neighbours are ``A @ A`` minus the degree diagonal, and
+K4s through a node are the triangles of its neighbourhood block, whose rows
+are slices of ``A.indices``.  Every count is an exact integer.
+``count_orbits_bruteforce`` enumerates every induced connected subgraph and
+is the ground truth the fast path is tested against.
 """
 
 from __future__ import annotations
@@ -105,8 +109,8 @@ def count_orbits(g: Graph, max_size: int = 4) -> OrbitMatrix:
     """Count, for every node, induced graphlet orbits up to ``max_size`` nodes.
 
     Uses common-neighbor counting plus combinatorial correction equations;
-    every count equals exhaustive enumeration exactly (see the brute-force
-    oracle in tests).
+    every count equals exhaustive enumeration exactly (see
+    :func:`count_orbits_bruteforce`).
     """
     _check_max_size(max_size)
     orbit_ids = ORBITS_BY_SIZE[max_size]
@@ -115,22 +119,15 @@ def count_orbits(g: Graph, max_size: int = 4) -> OrbitMatrix:
     if n == 0 or g.edge_count == 0:
         return OrbitMatrix(n, orbit_ids, out)
 
-    rows, cols = [], []
-    for u, v in g.edges:
-        rows += [u, v]
-        cols += [v, u]
-    A = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n)
-    )
-    d = np.asarray(A.sum(axis=1)).ravel().astype(np.int64)
+    u, v = np.array(list(g.edges), dtype=np.int64).T
+    A = sparse.csr_matrix((np.ones(2 * len(u), dtype=np.int64),
+                           (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+    d = np.diff(A.indptr).astype(np.int64)
     out[:, 0] = d
     if max_size == 2:
         return OrbitMatrix(n, orbit_ids, out)
 
-    CN = (A @ A).tolil()
-    CN.setdiag(0)
-    CN = CN.tocsr()
-    CN.eliminate_zeros()
+    CN = A @ A - sparse.diags(d, dtype=np.int64)  # the zeroed diagonal is dropped
     E = CN.multiply(A).tocsr()  # common neighbors per adjacent pair
     t = np.asarray(E.sum(axis=1)).ravel() // 2
 
@@ -141,20 +138,15 @@ def count_orbits(g: Graph, max_size: int = 4) -> OrbitMatrix:
     if max_size == 3:
         return OrbitMatrix(n, orbit_ids, out)
 
-    # K4 count per node: triangles inside the induced neighborhood.
-    # float32 keeps the inner product in BLAS; counts stay far below 2^24.
-    adj = g.neighbors()
-    Ad = np.zeros((n, n), dtype=np.float32)
-    r = np.repeat(np.arange(n), d)
-    c = np.concatenate([np.asarray(a, dtype=np.int64) if a else np.empty(0, np.int64) for a in adj])
-    Ad[r, c] = 1.0
+    # K4 count per node: triangles inside the induced neighborhood.  The 0/1
+    # float32 block keeps the product in BLAS and is exact while degrees stay
+    # below 2^24; the sum is taken in int64.
+    Ad = A.astype(np.float32).toarray()
     o14 = np.zeros(n, dtype=np.int64)
-    for x in range(n):
-        nbrs = adj[x]
-        if len(nbrs) < 3:
-            continue
-        B = Ad[nbrs][:, nbrs]
-        o14[x] = int(round(float(((B @ B) * B).sum()))) // 6
+    for x in np.flatnonzero(d >= 3):
+        nbrs = A.indices[A.indptr[x]:A.indptr[x + 1]]
+        B = Ad[np.ix_(nbrs, nbrs)]
+        o14[x] = ((B @ B) * B).sum(dtype=np.int64) // 6
 
     Ec2 = E.copy()
     Ec2.data = _comb2(Ec2.data)
@@ -285,53 +277,3 @@ def count_orbits_bruteforce(g: Graph, max_size: int = 4) -> OrbitMatrix:
             # orbit id equals column index for every supported max_size
             np.add.at(flat, sel[:, pos] * width + asg[:, pos], 1)
     return OrbitMatrix(n, orbit_ids, out)
-
-
-def subgraph_frequencies(g: Graph, max_size: int = 4) -> dict:
-    """Frequency of each graphlet (by canonical mask) via plain enumeration.
-
-    Independent of the orbit machinery; used to check the orbit-multiplicity
-    identity (sum of a graphlet's orbit counts = frequency x size).
-    """
-    _check_max_size(max_size)
-    n = g.node_count
-    Ad = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges:
-        Ad[u, v] = Ad[v, u] = True
-    freqs: dict[tuple[int, int], int] = {}
-    from .graphs import build_graph, canonical_small
-
-    for k in range(2, max_size + 1):
-        for combo in itertools.combinations(range(n), k):
-            edges = [
-                (i, j)
-                for i in range(k)
-                for j in range(i + 1, k)
-                if Ad[combo[i], combo[j]]
-            ]
-            sub = build_graph(k, edges)
-            # only connected subgraphs count
-            if _connected(k, edges):
-                key = canonical_small(sub)
-                freqs[key] = freqs.get(key, 0) + 1
-    return freqs
-
-
-def _connected(k, edges):
-    if k == 1:
-        return True
-    if not edges:
-        return False
-    adj = {i: [] for i in range(k)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == k

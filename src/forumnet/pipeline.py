@@ -23,6 +23,10 @@ from .sentiment import (DiscordanceParams, discordance_thread,
                         sentiment_metrics, summaries_to_csv, zscore_series)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: Exception | str):
         self.stage = stage
@@ -50,6 +54,20 @@ class PipelineConfig:
     heatmap_label_every: int = 1
 
     def __post_init__(self):
+        for name in ("input_path", "output_dir", "window_start", "window_end",
+                     "window_span", "window_jump"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        for name in ("orbit_max_size", "discordance_min", "discordance_max",
+                     "heatmap_label_every"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (self.workers is None or _is_int(self.workers)):
+            raise ValueError(f"workers must be an integer, got {self.workers!r}")
+        if not isinstance(self.sentiment, bool):
+            raise ValueError(f"sentiment must be true or false, got {self.sentiment!r}")
         if self.input_format not in ("csv", "jsonl"):
             raise ValueError(f"unknown input format {self.input_format!r}")
         if self.projection not in ("weighted", "plain"):
@@ -58,13 +76,19 @@ class PipelineConfig:
             raise ValueError(f"unknown comparison mode {self.comparison!r}")
         if self.orbit_max_size not in ORBITS_BY_SIZE:
             raise ValueError(f"orbit max size must be one of {sorted(ORBITS_BY_SIZE)}")
-        if not 0 < self.explained_variance <= 1:
-            raise ValueError("explained variance must be in (0, 1]")
-        if not self.jumps or any(k < 1 for k in self.jumps):
-            raise ValueError("jumps must be positive integers")
-        # validates span/jump compatibility and discordance windows up front
+        ev = self.explained_variance
+        if not (isinstance(ev, (int, float)) and not isinstance(ev, bool)
+                and 0 < ev <= 1):
+            raise ValueError(f"explained variance must be in (0, 1], got {ev!r}")
+        if not (isinstance(self.jumps, (list, tuple)) and self.jumps
+                and all(_is_int(k) and k >= 1 for k in self.jumps)):
+            raise ValueError(
+                f"jumps must be a list of positive integers, got {self.jumps!r}")
+        # validates span/jump compatibility, discordance windows and heatmap
+        # options up front
         self.window_spec()
         DiscordanceParams(self.discordance_min, self.discordance_max)
+        HeatmapOptions(label_every=self.heatmap_label_every)
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec.from_tokens(self.window_start, self.window_end,
@@ -83,7 +107,7 @@ class PipelineConfig:
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         raw.update(overrides)
-        if "jumps" in raw:
+        if isinstance(raw.get("jumps"), list):
             raw["jumps"] = tuple(raw["jumps"])
         return cls(**raw)
 

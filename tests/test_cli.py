@@ -153,6 +153,15 @@ def test_run_rejects_bad_discordance_windows(posts_csv, tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     assert "discordance window sizes" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+    for bad in ({"heatmap_label_every": 0}, {"jumps": [1.5]}, {"jumps": 2},
+                {"discordance_min": "2"}, {"sentiment": "yes"}):
+        cfg.write_text(json.dumps({
+            "input_path": posts_csv, "output_dir": str(out),
+            "window_start": "2020-01-01", "window_end": "2020-04-01", **bad,
+        }))
+        assert main(["run", "--config", str(cfg)]) == 1, bad
+        assert "error:" in capsys.readouterr().err
+        assert list(out.iterdir()) == [], bad
 
 
 def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
@@ -176,6 +185,11 @@ def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
     blank.write_text("".join(lines[:2]) + "\n\nx1,x1,u,2020-01-02 10:00:00,maybe,\n")
     assert main(["ingest", "--input", str(blank)]) == 1
     assert "error: line 5: invalid boolean 'maybe'" in capsys.readouterr().err
+    huge = tmp_path / "huge.csv"  # a csv reader error is an ingest error
+    huge.write_text("".join(lines[:2]) + 'x1,x1,u,2020-01-02 10:00:00,true,"'
+                    + "x" * 200_000 + '"\n')
+    assert main(["ingest", "--input", str(huge)]) == 1
+    assert "error: line 3: field larger than field limit" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_two(tmp_path, capsys):

@@ -159,6 +159,16 @@ def test_csv_error_lines_are_physical_lines():
         parse_posts(io.StringIO(text))
 
 
+def test_csv_reader_errors_are_ingest_errors():
+    long_cell = '"' + "x" * 200_000 + '"'
+    text = HEADER + ROW + f"p2,t1,bob,2020-01-02T10:00:00,true,{long_cell}\n"
+    with pytest.raises(IngestError,
+                       match=r"^line 3: field larger than field limit"):
+        parse_posts(io.StringIO(text))
+    with pytest.raises(IngestError, match=r"^line 1: field larger"):
+        parse_posts(io.StringIO(long_cell + "\n" + ROW))
+
+
 def test_csv_repeated_column_last_one_wins():
     text = ("post_id,thread_id,user_id,timestamp,is_original,user_id\n"
             "p1,t1,first,2020-01-01T10:00:00,true,last\n")

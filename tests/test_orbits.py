@@ -1,12 +1,15 @@
 import random
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forumnet.graphs import GraphError, build_graph, canonical_small
-from forumnet.orbits import (ALL_ORBITS, ORBITS_BY_SIZE, OrbitMatrix,
-                             count_orbits, count_orbits_bruteforce,
-                             orbit_matrix_from_csv, subgraph_frequencies)
+from forumnet.graphs import GraphError, build_graph
+from forumnet.orbits import (ORBITS_BY_SIZE, count_orbits,
+                             count_orbits_bruteforce, orbit_matrix_from_csv)
+from oracles import canonical_small, subgraph_frequencies
 
 
 def random_graph(n, p, rng):
@@ -28,16 +31,15 @@ def test_bad_max_size():
         count_orbits(build_graph(2, [(0, 1)]), max_size=5)
 
 
-def test_known_k4():
-    g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+@pytest.mark.parametrize("n", [4, 50, 400, 600])
+def test_known_k4(n):
+    # K_n: every node sees C(n-1, 2) triangles and C(n-1, 3) K4s; every other
+    # orbit is an induced non-complete pattern and must vanish
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     om = count_orbits(g)
-    for v in range(4):
-        assert om.column(0)[v] == 3
-        assert om.column(3)[v] == 3   # three triangles through each node
-        assert om.column(14)[v] == 1
-    # every other orbit is an induced non-complete pattern and must vanish
-    for o in (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
-        assert not om.column(o).any()
+    expect = np.zeros(15, dtype=np.int64)
+    expect[0], expect[3], expect[14] = n - 1, comb(n - 1, 2), comb(n - 1, 3)
+    assert (om.counts == expect).all()
 
 
 def test_known_path4():
@@ -74,6 +76,30 @@ def test_bruteforce_equivalence_random(max_size):
         slow = count_orbits_bruteforce(g, max_size)
         assert fast.orbit_ids == slow.orbit_ids == ORBITS_BY_SIZE[max_size]
         assert np.array_equal(fast.counts, slow.counts)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if draw(st.booleans()):
+        edges = pairs  # complete graph
+    else:
+        edges = [pr for pr, keep in zip(pairs, draw(
+            st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))))
+            if keep]
+        # isolate a prefix of the nodes
+        cut = draw(st.integers(0, n))
+        edges = [(u, v) for u, v in edges if u >= cut]
+    return build_graph(n, edges)
+
+
+@pytest.mark.parametrize("max_size", [2, 3, 4])
+@settings(max_examples=100, deadline=None)
+@given(g=graphs())
+def test_bruteforce_equivalence_property(max_size, g):
+    assert np.array_equal(count_orbits(g, max_size).counts,
+                          count_orbits_bruteforce(g, max_size).counts)
 
 
 def test_relabeling_equivariance():

@@ -188,6 +188,20 @@ def test_config_rejects_bad_discordance_windows(corpus, tmp_path):
     # checked even when the sentiment stage is off
     with pytest.raises(ValueError, match="discordance window sizes"):
         config(corpus, tmp_path, sentiment=False, discordance_min=1)
+    # every field is checked before a stage runs: no integer-valued strings,
+    # floats or bools where integers are expected
+    bad = [
+        dict(heatmap_label_every=0), dict(heatmap_label_every=True),
+        dict(jumps=(1.5,)), dict(jumps=2), dict(jumps=(True,)),
+        dict(discordance_min="2"), dict(discordance_max=5.0),
+        dict(orbit_max_size=4.0), dict(orbit_max_size=True),
+        dict(sentiment="yes"), dict(sentiment=1), dict(workers="4"),
+        dict(explained_variance="0.9"), dict(window_start=2020),
+        dict(output_dir=None),
+    ]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            config(corpus, tmp_path, **kw)
 
 
 def test_config_from_json(corpus, tmp_path):
