@@ -11,18 +11,19 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .changes import flag_changes, flags_to_json
 from .graphs import GraphError, build_graph, read_edge_list, write_edge_list
-from .ingest import (IngestError, WindowSpec, derive_threads, make_windows,
+from .ingest import (IngestError, WindowSpec, make_windows, post_table,
                      write_posts_csv)
 from .netemd import distance_matrix_from_csv
 from .orbits import count_orbits, orbit_matrix_from_csv
 from .pipeline import (PipelineConfig, PipelineError, compare_orbit_matrices,
-                       discordance_table, inference_artifacts, project_window,
-                       read_posts, run_pipeline, sentiment_artifacts,
-                       windows_table)
+                       discordance_table, inference_artifacts, read_posts,
+                       run_pipeline, sentiment_artifacts, windows_table)
+from .projection import project_window
 from .report import HeatmapOptions, render_heatmap
 from .sentiment import DiscordanceParams, sentiment_metrics
 from .synth import RegimeScript, ScriptError, generate_forum
@@ -38,11 +39,8 @@ def _write_out(text: str, out: str | None):
 
 
 def _write_posts(posts, out: str | None):
-    if out:
-        with open(out, "w", newline="") as fh:
-            write_posts_csv(posts, fh)
-    else:
-        write_posts_csv(posts, sys.stdout)
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+        write_posts_csv(posts, fh)
 
 
 def _write_dir(outdir: str, artifacts: dict[str, str]):
@@ -61,9 +59,10 @@ def _window_args(p: argparse.ArgumentParser):
     p.add_argument("--jump", default="1m", help="window jump, e.g. 2m or halfmonth")
 
 
-def _load_windows(args, posts=None):
+def _load_windows(args, table=None):
     spec = WindowSpec.from_tokens(args.start, args.end, args.span, args.jump)
-    return make_windows(posts or read_posts(args.input, args.format), spec)
+    posts = read_posts(args.input, args.format) if table is None else table
+    return make_windows(posts, spec)
 
 
 def cmd_synth(args):
@@ -87,7 +86,7 @@ def cmd_project(args):
     networks = {}
     for w in _load_windows(args):
         try:
-            graph = project_window(w, not args.plain)
+            graph, _ = project_window(w, not args.plain)
         except (GraphError, ValueError) as exc:
             log.warning("window %s skipped: %s", w.label_str, exc)
             continue
@@ -133,10 +132,10 @@ def cmd_discordance(args):
 
 def cmd_infer(args):
     # ingest, windows, sentiment summaries and inference; no structural stage
-    posts = read_posts(args.input, args.format)
-    summaries = [sentiment_metrics(w) for w in _load_windows(args, posts)]
-    _write_dir(args.outdir, inference_artifacts(
-        posts, derive_threads(posts), summaries, DiscordanceParams()))
+    table = post_table(read_posts(args.input, args.format))
+    summaries = [sentiment_metrics(w) for w in _load_windows(args, table)]
+    _write_dir(args.outdir, inference_artifacts(table, summaries,
+                                                DiscordanceParams()))
     log.info("inference artifacts written to %s", args.outdir)
 
 

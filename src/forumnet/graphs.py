@@ -39,24 +39,6 @@ class WeightedGraph:
     node_count: int
     weights: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.weights)
-
-    def weighted_degrees(self) -> list[float]:
-        wd = [0.0] * self.node_count
-        for (u, v), w in self.weights.items():
-            wd[u] += w
-            wd[v] += w
-        return wd
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.node_count
-        for u, v in self.weights:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -93,41 +75,6 @@ def build_graph(node_count, edge_list) -> Graph:
             raise GraphError(f"duplicate edge: ({u}, {v})")
         edges.add(pair)
     return Graph(node_count, frozenset(edges))
-
-
-def build_weighted_graph(node_count, weighted_edges) -> WeightedGraph:
-    """Build a weighted graph from (u, v, w) triples; weights must be > 0."""
-    if node_count < 0:
-        raise GraphError("node_count must be non-negative")
-    weights: dict[tuple[int, int], float] = {}
-    for u, v, w in weighted_edges:
-        pair = _check_pair(u, v, node_count)
-        if pair in weights:
-            raise GraphError(f"duplicate edge: ({u}, {v})")
-        if not w > 0:
-            raise GraphError(f"edge weight must be positive: ({u}, {v}, {w})")
-        weights[pair] = float(w)
-    return WeightedGraph(node_count, weights)
-
-
-def graph_stats(g) -> dict:
-    """Degree sequence, density and isolated-node count.
-
-    Density is |E| / C(n, 2) for n >= 2 and 0 for degenerate graphs.
-    For weighted graphs the weighted degree sequence is included too.
-    """
-    deg = g.degrees()
-    n = g.node_count
-    m = g.edge_count
-    density = 0.0 if n < 2 else m / (n * (n - 1) / 2)
-    stats = {
-        "degrees": deg,
-        "density": density,
-        "isolated": sum(1 for d in deg if d == 0),
-    }
-    if isinstance(g, WeightedGraph):
-        stats["weighted_degrees"] = g.weighted_degrees()
-    return stats
 
 
 # Pair bit order for <=4 node adjacency bitmasks, shared with the orbit census.
@@ -171,13 +118,7 @@ def read_edge_list(lines):
     return max_node + 1, edges
 
 
-def write_edge_list(g) -> str:
-    """Serialize a Graph or WeightedGraph to the edge-list text format."""
-    lines = []
-    if isinstance(g, WeightedGraph):
-        for (u, v), w in sorted(g.weights.items()):
-            lines.append(f"{u} {v} {w!r}")
-    else:
-        for u, v in sorted(g.edges):
-            lines.append(f"{u} {v}")
+def write_edge_list(g: Graph) -> str:
+    """Serialize a Graph to the edge-list text format."""
+    lines = [f"{u} {v}" for u, v in sorted(g.edges)]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,9 +1,10 @@
-"""Post parsing, thread derivation and rolling calendar windows.
+"""Post parsing, the integer-coded post table and rolling calendar windows.
 
-Windows use calendar arithmetic rather than fixed-length seconds: month
-jumps land on the same day-of-month and the half-month jump alternates
-between day 1 and day 15, which is what makes one-month windows starting
-on the 1st and 15th line up.
+Parsed records are coded once into a ``PostTable``; every later stage
+reads its columns.  Windows use calendar arithmetic rather than
+fixed-length seconds: month jumps land on the same day-of-month and the
+half-month jump alternates between day 1 and day 15, which is what makes
+one-month windows starting on the 1st and 15th line up.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 import calendar
 import csv
 import json
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from operator import itemgetter
 from typing import NamedTuple
 
+import numpy as np
+
 SENTIMENTS = ("positive", "neutral", "negative")
+# label code of a sentiment: its SENTIMENTS index, -1 when unlabeled
+LABEL_CODES = {None: -1, **{s: i for i, s in enumerate(SENTIMENTS)}}
 
 
 class IngestError(ValueError):
@@ -36,15 +40,6 @@ class PostRecord(NamedTuple):
     user_id: str
     is_original: bool
     sentiment: str | None = None
-
-
-@dataclass
-class ThreadRecord:
-    thread_id: str
-    creation: datetime | None
-    post_count: int
-    user_count: int
-    sentiment: str | None  # original post's label, None when unlabeled
 
 
 def _parse_timestamp(raw: str, where: str) -> datetime:
@@ -182,31 +177,77 @@ def write_posts_csv(records, stream):
         ])
 
 
-def derive_threads(posts) -> dict[str, ThreadRecord]:
-    """Thread metadata from the full post list, in any order.
+_EPOCH = datetime(1970, 1, 1)
 
-    Thread sentiment is the original post's label and its creation the
-    original's timestamp, even when a reply is stamped earlier; a thread
-    must have exactly one original post.
+
+def _column(posts, field: int, code=None, dtype=np.int64):
+    """One record field as an array, each value mapped through ``code``."""
+    values = map(itemgetter(field), posts)
+    return np.fromiter(map(code, values) if code else values, dtype, len(posts))
+
+
+def _codes(posts, field: int):
+    """Sorted distinct values of a string field, as copies that keep no
+    record's memory alive, and each post's int32 index among them."""
+    ids = sorted(set(map(itemgetter(field), posts)))
+    index = dict(zip(ids, range(len(ids))))
+    return ([s.encode(errors="surrogatepass").decode(errors="surrogatepass")
+             for s in ids], _column(posts, field, index.__getitem__, np.int32))
+
+
+@dataclass(frozen=True, eq=False)
+class PostTable:
+    """Posts as integer-coded columns, sorted by (timestamp, post_id).
+
+    User and thread codes index the sorted ``user_ids``/``thread_ids``, so
+    ordering by code is ordering by id.  Labels are ``LABEL_CODES``.
+    ``thread_label`` and ``thread_creation``, indexed by thread code, are
+    the label and epoch seconds of each thread's original post.
     """
-    by_thread: dict[str, list[PostRecord]] = {}
-    for p in posts:
-        by_thread.setdefault(p.thread_id, []).append(p)
-    out = {}
-    for tid, plist in by_thread.items():
-        originals = [p for p in plist if p.is_original]
-        if len(originals) != 1:
-            raise IngestError(
-                f"thread {tid}: expected exactly 1 original post, found {len(originals)}"
-            )
-        out[tid] = ThreadRecord(
-            thread_id=tid,
-            creation=originals[0].timestamp,
-            post_count=len(plist),
-            user_count=len({p.user_id for p in plist}),
-            sentiment=originals[0].sentiment,
-        )
-    return out
+    user: np.ndarray             # int32
+    thread: np.ndarray           # int32
+    time: np.ndarray             # int64 epoch seconds
+    label: np.ndarray            # int8
+    is_original: np.ndarray      # bool
+    user_ids: list
+    thread_ids: list
+    thread_label: np.ndarray     # int8
+    thread_creation: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+
+def post_table(posts) -> PostTable:
+    """Code post records, in any order, as a ``PostTable``.
+
+    Every thread must have exactly one original post; the error names the
+    first offending thread in time order."""
+    posts = sorted(posts)  # post ids are unique: (timestamp, post_id) order
+    user_ids, user = _codes(posts, 3)
+    thread_ids, thread = _codes(posts, 2)
+    # seconds since the epoch; whole seconds are exact in float64
+    time = _column(posts, 0, lambda ts: (ts - _EPOCH).total_seconds(),
+                   np.float64).astype(np.int64)
+    label = _column(posts, 5, LABEL_CODES.__getitem__, np.int8)
+    is_original = _column(posts, 4, dtype=bool)
+    original = np.flatnonzero(is_original)
+    found = np.bincount(thread[original], minlength=len(thread_ids))
+    if (found != 1).any():
+        bad = thread[np.isin(thread, np.flatnonzero(found != 1)).argmax()]
+        raise IngestError(f"thread {thread_ids[bad]}: expected exactly 1 "
+                          f"original post, found {found[bad]}")
+    original = original[np.argsort(thread[original])]  # one per thread, by code
+    return PostTable(user, thread, time, label, is_original, user_ids,
+                     thread_ids, label[original], time[original])
+
+
+def appearance_rank(codes: np.ndarray) -> np.ndarray:
+    """Each code renumbered by the order of its first occurrence."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 # --- window arithmetic ---
@@ -264,13 +305,13 @@ class WindowSpec:
                    parse_duration(span), parse_duration(jump))
 
 
-@dataclass
-class WindowSlice:
-    label: date           # window start
-    start: datetime
-    end: datetime         # half-open [start, end)
-    posts: list[PostRecord]
-    threads: dict[str, ThreadRecord]  # per-window counts, corpus sentiment
+@dataclass(frozen=True)
+class Window:
+    """The post table ``rows`` stamped in the half-open window from
+    midnight of ``label`` to ``label`` + span."""
+    label: date
+    table: PostTable = field(repr=False)
+    rows: slice
 
     @property
     def label_str(self) -> str:
@@ -286,47 +327,20 @@ def window_starts(spec: WindowSpec) -> list[date]:
     return starts
 
 
-def make_windows(posts, spec: WindowSpec) -> list[WindowSlice]:
-    """Partition posts into rolling windows.
-
-    Thread post/user counts inside each slice are computed from contained
-    posts only; thread sentiment comes from the corpus-wide original post.
-    """
-    posts = sorted(posts, key=itemgetter(0, 1))  # (timestamp, post_id)
-    sentiments = {}
-    creations = {}
-    for p in posts:
-        if p.is_original and p.thread_id not in sentiments:
-            sentiments[p.thread_id] = p.sentiment
-            creations[p.thread_id] = p.timestamp
-    stamps = [p.timestamp for p in posts]
-    slices = []
+def make_windows(posts, spec: WindowSpec) -> list[Window]:
+    """Rolling windows over a ``PostTable`` (records are coded first),
+    as row ranges found by binary search on time."""
+    table = posts if isinstance(posts, PostTable) else post_table(posts)
+    windows = []
     for start in window_starts(spec):
-        s = datetime(start.year, start.month, start.day)
-        e_date = add_months(start, spec.span[1])
-        e = datetime(e_date.year, e_date.month, e_date.day)
-        lo = bisect_left(stamps, s)
-        hi = bisect_left(stamps, e)
-        contained = posts[lo:hi]
-        threads: dict[str, ThreadRecord] = {}
-        per_thread: dict[str, list[PostRecord]] = {}
-        for p in contained:
-            per_thread.setdefault(p.thread_id, []).append(p)
-        for tid, plist in per_thread.items():
-            threads[tid] = ThreadRecord(
-                thread_id=tid,
-                creation=creations.get(tid),
-                post_count=len(plist),
-                user_count=len({p.user_id for p in plist}),
-                sentiment=sentiments.get(tid),
-            )
-        slices.append(WindowSlice(start, s, e, contained, threads))
-    return slices
+        bounds = np.array([start, add_months(start, spec.span[1])], "datetime64[s]")
+        lo, hi = np.searchsorted(table.time, bounds.astype(np.int64))
+        windows.append(Window(start, table, slice(int(lo), int(hi))))
+    return windows
 
 
-def window_stats(w: WindowSlice) -> dict:
-    return {
-        "posts": len(w.posts),
-        "threads": len(w.threads),
-        "users": len({p.user_id for p in w.posts}),
-    }
+def window_stats(w: Window) -> dict:
+    t, rows = w.table, w.rows
+    return {"posts": rows.stop - rows.start,
+            "threads": int(np.count_nonzero(np.bincount(t.thread[rows]))),
+            "users": int(np.count_nonzero(np.bincount(t.user[rows])))}

@@ -3,24 +3,32 @@
 from __future__ import annotations
 
 import json
+import logging
+import platform
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 from . import __version__
 from .changes import flag_changes, flags_to_json
-from .graphs import Graph, GraphError, write_edge_list
-from .ingest import (SENTIMENTS, IngestError, PostRecord, WindowSpec,
-                     derive_threads, make_windows, parse_posts, window_stats)
+from .graphs import GraphError, write_edge_list
+from .ingest import (SENTIMENTS, IngestError, PostRecord, PostTable, WindowSpec,
+                     make_windows, parse_posts, post_table, window_stats)
 from .netemd import DistanceMatrix, OrbitSet, netemd_matrix, pca_netemd_matrix
 from .orbits import ORBITS_BY_SIZE, count_orbits
-from .projection import build_bipartite, project_users, sparsify_threshold
+from .projection import project_window
 from .report import HeatmapOptions, discordance_csv, render_heatmap, series_csv
-from .sentiment import (DiscordanceParams, discordance_thread,
+from .sentiment import (DiscordanceParams, discordance_scores,
                         discordance_window_avg, flag_sentiment_changes,
                         infer_discordance, infer_post_sentiment,
-                        inferred_ratio_zscores, labeled_sequences,
-                        mixing_matrix, sentiment_flags_json,
-                        sentiment_metrics, summaries_to_csv, zscore_series)
+                        inferred_ratio_zscores, label_mixing, labeled_threads,
+                        sentiment_flags_json, sentiment_metrics,
+                        summaries_to_csv, zscore_series)
+
+log = logging.getLogger(__name__)
 
 
 def _is_int(value) -> bool:
@@ -125,17 +133,9 @@ def read_posts(path: str, fmt: str) -> list[PostRecord]:
 
 def windows_table(windows) -> str:
     """``windows.csv``: post, thread and user counts per window."""
-    rows = ["window,posts,threads,users"]
-    for w in windows:
-        st = window_stats(w)
-        rows.append(f"{w.label_str},{st['posts']},{st['threads']},{st['users']}")
-    return "\n".join(rows) + "\n"
-
-
-def project_window(w, weighted: bool) -> Graph:
-    """Sparsified user network; GraphError/ValueError if it has no edges."""
-    bip, _, _ = build_bipartite(w)
-    return sparsify_threshold(project_users(bip, weighted)).sparsified
+    return "".join(["window,posts,threads,users\n"] + [
+        "{},{posts},{threads},{users}\n".format(w.label_str, **window_stats(w))
+        for w in windows])
 
 
 def compare_orbit_matrices(matrices, labels, orbit_max_size: int, mode: str,
@@ -162,16 +162,13 @@ def sentiment_artifacts(summaries) -> tuple[dict[str, str], int]:
 
 def discordance_table(windows, params: DiscordanceParams) -> str:
     """``discordance.csv``: per-window average and the threads it is over."""
-    rows = []
-    for w in windows:
-        sequences = labeled_sequences(w.posts).values()
-        counted = sum(map(params.qualifies, sequences))
-        rows.append((w.label_str, discordance_window_avg(sequences, params),
-                     counted))
-    return discordance_csv(rows)
+    return discordance_csv([
+        (w.label_str, *discordance_window_avg(labeled_threads(w.table, w.rows),
+                                              params))
+        for w in windows])
 
 
-def inference_artifacts(posts, threads, summaries,
+def inference_artifacts(table: PostTable, summaries,
                         params: DiscordanceParams) -> dict[str, str]:
     """Mixing matrix and inferred series by artifact name.
 
@@ -180,25 +177,37 @@ def inference_artifacts(posts, threads, summaries,
     discordance needs a qualifying thread in every class. Raises
     ValueError when a thread class has no labeled posts.
     """
-    sequences = {tid: seq for tid, seq in labeled_sequences(posts).items()
-                 if threads[tid].sentiment is not None}
-    m = mixing_matrix((threads[tid].sentiment, seq)
-                      for tid, seq in sequences.items())
+    groups = labeled_threads(table)
+    classes = table.thread_label[groups.thread]
+    m = label_mixing(classes, groups)
     cols = {f"inferred_{r}": z for r, z in
             inferred_ratio_zscores(infer_post_sentiment(summaries, m)).items()}
-    per_class: dict[str, list] = {}
-    for tid, seq in sequences.items():
-        if params.qualifies(seq):
-            per_class.setdefault(threads[tid].sentiment, []).append(
-                discordance_thread(seq, params))
-    if all(per_class.get(s) for s in SENTIMENTS):
-        avgs = {s: sum(v) / len(v) for s, v in per_class.items()}
-        cols["inferred_discordance"] = infer_discordance(summaries, avgs)
+    # (score, class, whether its labels fill the smallest window) per thread
+    scored = list(zip(discordance_scores(groups, params), classes.tolist(),
+                      (groups.sizes >= params.min_window).tolist()))
+    per_class = {s: [v for v, c, ok in scored if ok and c == code]
+                 for code, s in enumerate(SENTIMENTS)}
+    if all(per_class.values()):
+        cols["inferred_discordance"] = infer_discordance(
+            summaries, {s: sum(v) / len(v) for s, v in per_class.items()})
     return {
         "mixing_matrix.csv": "\n".join(
             ",".join("%.9g" % v for v in row) for row in m) + "\n",
         "inferred.csv": series_csv([s.label for s in summaries], cols),
     }
+
+
+def _stage_timer():
+    """``stage(name)`` ends the running stage, logging its wall seconds at
+    info level, and starts stage ``name``; ``stage(None)`` only ends."""
+    running = [None, 0.0]
+
+    def stage(name):
+        if running[0]:
+            log.info("stage %s: %.3f s", running[0],
+                     time.perf_counter() - running[1])
+        running[:] = [name, time.perf_counter()]
+    return stage
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -211,40 +220,49 @@ def run_pipeline(config: PipelineConfig) -> dict:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
+    stage = _stage_timer()
 
     def emit(name: str, text: str):
         _write(out / name, text)
         artifacts.append(name)
 
+    stage("ingest")
     try:
-        posts = read_posts(config.input_path, config.input_format)
-        threads = derive_threads(posts)
+        table = post_table(read_posts(config.input_path, config.input_format))
     except (OSError, IngestError) as exc:
         raise PipelineError("ingest", exc) from exc
-    if not posts:
+    if not len(table):
         raise PipelineError("ingest", "no posts in input")
 
+    stage("windows")
     try:
-        windows = make_windows(posts, config.window_spec())
+        windows = make_windows(table, config.window_spec())
     except IngestError as exc:
         raise PipelineError("windows", exc) from exc
     if len(windows) < 2:
         raise PipelineError("windows", f"only {len(windows)} window(s) in range")
     emit("windows.csv", windows_table(windows))
 
+    stage("networks")
     matrices = []
     labels = []
     skipped = []
+    sizes = []  # per-window posts, threads, users and network size
     for w in windows:
+        size = {"window": w.label_str, **window_stats(w)}
+        sizes.append(size)
         try:
-            graph = project_window(w, config.projection == "weighted")
+            graph, threshold = project_window(w, config.projection == "weighted")
         except (GraphError, ValueError) as exc:
             skipped.append({"window": w.label_str, "reason": str(exc)})
+            log.info("window %s skipped: %s", w.label_str, exc)
             continue
         try:
             om = count_orbits(graph, config.orbit_max_size)
         except Exception as exc:
             raise PipelineError("orbits", f"window {w.label_str}: {exc}") from exc
+        size.update(nodes=graph.node_count, edges=graph.edge_count,
+                    threshold=threshold, max_degree=int(om.column(0).max()))
         emit(f"network_{w.label_str}.edges", write_edge_list(graph))
         emit(f"orbits_{w.label_str}.csv", om.to_csv())
         matrices.append(om)
@@ -254,6 +272,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "projection", f"only {len(matrices)} usable windows after projection"
         )
 
+    stage("compare")
     try:
         dmat = compare_orbit_matrices(matrices, labels, config.orbit_max_size,
                                       config.comparison,
@@ -267,6 +286,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         for idx, oid in enumerate(dmat.feature_ids):
             emit(f"distances_orbit{oid}.csv", dmat.per_orbit_csv(idx))
 
+    stage("detect")
     try:
         cflags = flag_changes(dmat, config.jumps)
     except ValueError as exc:
@@ -280,16 +300,22 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "windows": [w.label_str for w in windows],
         "skipped_windows": skipped,
         "change_flags": len(cflags),
+        "window_sizes": sizes,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     }
 
     if config.sentiment:
+        stage("sentiment")
         params = DiscordanceParams(config.discordance_min, config.discordance_max)
         summaries = [sentiment_metrics(w) for w in windows]
         texts, n_flags = sentiment_artifacts(summaries)  # >= 2 windows
         manifest["sentiment_flags"] = n_flags
+        stage("discordance")
         texts["discordance.csv"] = discordance_table(windows, params)
+        stage("inference")
         try:
-            texts.update(inference_artifacts(posts, threads, summaries, params))
+            texts.update(inference_artifacts(table, summaries, params))
         except ValueError as exc:
             manifest["inference"] = f"skipped: {exc}"
         for name, text in texts.items():
@@ -297,4 +323,5 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     manifest["artifacts"] = sorted(artifacts)
     _write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    stage(None)
     return manifest

@@ -6,11 +6,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import SENTIMENTS, WindowSlice
+from .ingest import SENTIMENTS, PostTable, Window, appearance_rank
 
 # the 7 non-empty subsets of {positive, neutral, negative}
 SENTIMENT_COMBOS = tuple(
@@ -32,7 +33,7 @@ class SentimentSummary:
         return self.user_combos.get(frozenset({sentiment}), 0)
 
 
-def sentiment_metrics(w: WindowSlice) -> SentimentSummary:
+def sentiment_metrics(w: Window) -> SentimentSummary:
     """Thread, post and user tallies per sentiment for one window.
 
     Threads count once per sentiment when they have any in-window post;
@@ -40,26 +41,22 @@ def sentiment_metrics(w: WindowSlice) -> SentimentSummary:
     the set of thread sentiments they posted in. Unlabeled threads are
     excluded from all three and counted separately.
     """
-    thread_counts = dict.fromkeys(SENTIMENTS, 0)
-    unlabeled = 0
-    for t in w.threads.values():
-        if t.sentiment is None:
-            unlabeled += 1
-        else:
-            thread_counts[t.sentiment] += 1
-    post_counts = dict.fromkeys(SENTIMENTS, 0)
-    per_user: dict[str, set] = {}
-    for p in w.posts:
-        s = w.threads[p.thread_id].sentiment
-        if s is None:
-            continue
-        post_counts[s] += 1
-        per_user.setdefault(p.user_id, set()).add(s)
-    combos = {c: 0 for c in SENTIMENT_COMBOS}
-    for sset in per_user.values():
-        combos[frozenset(sset)] += 1
-    return SentimentSummary(w.label_str, thread_counts, unlabeled,
-                            post_counts, combos)
+    t = w.table
+    thread = t.thread[w.rows]
+    present = np.flatnonzero(np.bincount(thread))
+    threads = np.bincount(t.thread_label[present] + 1, minlength=4).tolist()
+    label = t.thread_label[thread]
+    labeled = label >= 0
+    posts = np.bincount(label[labeled], minlength=3).tolist()
+    # each user's set of thread labels as a bit set, from distinct (user, label)
+    pairs = np.unique(t.user[w.rows][labeled].astype(np.int64) * 3 + label[labeled])
+    masks = np.bincount(pairs // 3, 1 << (pairs % 3)).astype(np.int64)
+    users = np.bincount(masks, minlength=8).tolist()
+    return SentimentSummary(
+        w.label_str, dict(zip(SENTIMENTS, threads[1:])), threads[0],
+        dict(zip(SENTIMENTS, posts)),
+        {c: users[sum(1 << SENTIMENTS.index(s) for s in c)]
+         for c in SENTIMENT_COMBOS})
 
 
 RATIOS = ("pos_neg", "neg_pos", "neutral")
@@ -101,15 +98,8 @@ def zscore_values(series) -> list:
     mean = sum(defined) / len(defined)
     var = sum((v - mean) ** 2 for v in defined) / len(defined)
     std = math.sqrt(var)
-    out = []
-    for v in series:
-        if v is None:
-            out.append(None)
-        elif std == 0:
-            out.append(0.0)
-        else:
-            out.append((v - mean) / std)
-    return out
+    return [None if v is None else 0.0 if std == 0 else (v - mean) / std
+            for v in series]
 
 
 @dataclass
@@ -157,17 +147,11 @@ def flag_sentiment_changes(ztable: ZTable) -> list[dict]:
     flags = []
     for i, label in enumerate(ztable.labels):
         for ratio, direction in _RATIO_DIRECTION.items():
-            zs = [
-                ztable.zscores[(metric, ratio)][i] for metric in METRICS
-            ]
+            zs = [ztable.zscores[(metric, ratio)][i] for metric in METRICS]
             strong = [z for z in zs if z is not None and abs(z) > 1]
-            pos_side = [z for z in strong if z > 0]
-            neg_side = [z for z in strong if z < 0]
-            side = None
-            if len(pos_side) >= 2:
-                side = "increase"
-            elif len(neg_side) >= 2:
-                side = "decrease"
+            rising = sum(z > 0 for z in strong)
+            side = ("increase" if rising >= 2 else
+                    "decrease" if len(strong) - rising >= 2 else None)
             if side:
                 flags.append({
                     "window": label,
@@ -187,84 +171,118 @@ class DiscordanceParams:
         if self.min_window < 2 or self.max_window < self.min_window:
             raise ValueError("discordance window sizes must satisfy 2 <= min <= max")
 
-    def qualifies(self, labels) -> bool:
-        """A thread counts when its labeled posts fill the smallest window."""
-        return len(labels) >= self.min_window
+
+class LabeledThreads(NamedTuple):
+    """Labeled posts grouped by thread, threads in order of their first
+    labeled post; group g holds ``labels[bounds[g]:bounds[g + 1]]`` in
+    time order."""
+    thread: np.ndarray   # thread code of each group
+    bounds: np.ndarray   # int64, one more than the groups
+    labels: np.ndarray   # label codes
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.bounds)
 
 
-def labeled_sequences(posts) -> dict[str, list[str]]:
-    """Non-null post labels by thread, in the (timestamp) order of ``posts``."""
-    per_thread: dict[str, list] = {}
-    for p in posts:
-        if p.sentiment is not None:
-            per_thread.setdefault(p.thread_id, []).append(p.sentiment)
-    return per_thread
+def labeled_threads(table: PostTable, rows=slice(None)) -> LabeledThreads:
+    """The labeled posts among ``table`` rows, grouped by a stable sort."""
+    label = table.label[rows]
+    keep = label >= 0
+    thread = table.thread[rows][keep]
+    rank = appearance_rank(thread)
+    order = np.argsort(rank, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+    return LabeledThreads(thread[order][bounds[:-1]], bounds, label[keep][order])
 
 
-def discordance_thread(sentiments, params: DiscordanceParams = DiscordanceParams()) -> float:
-    """Normalized local disagreement of an ordered sentiment sequence.
+def _coded(sequences) -> LabeledThreads:
+    """Sentiment-name sequences as groups; ValueError on an unknown name."""
+    codes = [[SENTIMENTS.index(s) for s in seq] for seq in sequences]
+    return LabeledThreads(np.arange(len(codes)),
+                          np.cumsum([0] + list(map(len, codes))),
+                          np.array([x for c in codes for x in c], dtype=np.int8))
+
+
+def discordance_scores(groups: LabeledThreads,
+                       params: DiscordanceParams = DiscordanceParams()) -> list:
+    """Normalized local disagreement of every group's label sequence.
 
     Two labels are |a - b| apart in ``SENTIMENTS`` order (positive 0,
     neutral 1, negative 2), so a window holding k0, k1, k2 of each has
-    total pair distance k0*k1 + k1*k2 + 2*k0*k2, read from prefix counts.
-    For each window size D the sliding-window totals are summed and divided
-    by the attainable maximum (windows x per-window max); the index is the
-    mean over window sizes, in [0, 1], and 0.0 when no window size fits.
+    total pair distance k0*k1 + k1*k2 + 2*k0*k2, read from prefix counts
+    over all groups at once.  For each window size D the sliding-window
+    totals of a group are summed and divided by the attainable maximum
+    (windows x per-window max); a group's index is the mean over the
+    window sizes that fit, in [0, 1], and 0.0 when none fits.
     """
-    codes = [SENTIMENTS.index(s) for s in sentiments]
-    n = len(codes)
-    if n < params.min_window:
-        return 0.0
-    pos = list(accumulate((c == 0 for c in codes), initial=0))
-    neu = list(accumulate((c == 1 for c in codes), initial=0))
+    bounds, sizes = groups.bounds, groups.sizes
+    pos, neu = (np.cumsum(np.concatenate(([False], groups.labels == c)))
+                for c in (0, 1))
+    top = min(params.max_window, int(sizes.max(initial=0)))
     per_d = []
-    for D in range(params.min_window, min(params.max_window, n) + 1):
-        total = 0
-        for pos_lo, pos_hi, neu_lo, neu_hi in zip(pos, pos[D:], neu, neu[D:]):
-            k0 = pos_hi - pos_lo
-            k1 = neu_hi - neu_lo
-            # k0*k1 + k1*k2 == k1*(D - k1), and k2 == D - k0 - k1
-            total += k1 * (D - k1) + 2 * k0 * (D - k0 - k1)
+    for D in range(params.min_window, top + 1):
+        k0, k1 = pos[D:] - pos[:-D], neu[D:] - neu[:-D]  # per window start
+        # k0*k1 + k1*k2 == k1*(D - k1), and k2 == D - k0 - k1; running sums
+        run = np.cumsum(np.concatenate(([0], k1 * (D - k1) + 2 * k0 * (D - k0 - k1))))
+        # a group's windows start from its first label and end inside it
+        lo = np.minimum(bounds[:-1], run.size - 1)
+        hi = np.where(sizes >= D, bounds[1:] - D + 1, lo)
         # attainable per-window maximum: a balanced positive/negative split
         most = 2 * (D // 2) * ((D + 1) // 2)
-        per_d.append(total / ((n - D + 1) * most))
-    return sum(per_d) / len(per_d)
+        per_d.append((run[hi] - run[lo]) / (np.maximum(sizes - D + 1, 1) * most))
+    fits = np.minimum(sizes, top) - params.min_window + 1
+    rows = np.array(per_d).T.tolist() if per_d else [[]] * sizes.size
+    # averaged over window sizes in order, as Python sums a list
+    return [sum(r[:k]) / k if k > 0 else 0.0 for r, k in zip(rows, fits.tolist())]
 
 
-def discordance_window_avg(sequences,
+def discordance_thread(sentiments, params: DiscordanceParams = DiscordanceParams()) -> float:
+    """Discordance of one ordered sentiment sequence (see ``discordance_scores``)."""
+    return discordance_scores(_coded([sentiments]), params)[0]
+
+
+def discordance_window_avg(groups: LabeledThreads,
                            params: DiscordanceParams = DiscordanceParams()):
-    """Mean thread discordance over the qualifying label sequences (one per
-    thread, as from ``labeled_sequences``); None when none qualifies."""
-    vals = [discordance_thread(seq, params)
-            for seq in sequences if params.qualifies(seq)]
-    return sum(vals) / len(vals) if vals else None
+    """(mean discordance over the groups whose labels fill the smallest
+    window, or None when none does; the number of those groups)."""
+    vals = [v for v, n in zip(discordance_scores(groups, params), groups.sizes)
+            if n >= params.min_window]
+    return (sum(vals) / len(vals) if vals else None), len(vals)
+
+
+def label_mixing(classes, groups: LabeledThreads) -> np.ndarray:
+    """Column-stochastic post-in-thread sentiment proportions (macro average).
+
+    ``classes`` holds each group's thread label code; groups of class -1
+    are skipped. Rows are post sentiment, columns thread sentiment, both in
+    ``SENTIMENTS`` order; each column is the mean, over its threads in
+    group order, of their label proportions.
+    """
+    sizes = groups.sizes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    counts = np.bincount(owner * 3 + groups.labels, minlength=3 * sizes.size)
+    props = counts.reshape(-1, 3) / sizes[:, None]
+    cols = []
+    for code, s in enumerate(SENTIMENTS):
+        if not (classes == code).any():
+            raise ValueError(f"no sampled threads with sentiment {s!r}")
+        cols.append(np.mean(props[classes == code], axis=0))
+    return np.column_stack(cols)
 
 
 def mixing_matrix(samples) -> np.ndarray:
-    """Column-stochastic post-in-thread sentiment proportions (macro average).
-
-    ``samples`` is an iterable of (thread_sentiment, post sentiment
-    sequence). Rows are post sentiment, columns thread sentiment, both in
-    (positive, neutral, negative) order.
-    """
-    per_class: dict[str, list[np.ndarray]] = {s: [] for s in SENTIMENTS}
+    """``label_mixing`` of (thread sentiment, post sentiment sequence)
+    samples; samples without posts are skipped."""
+    classes, sequences = [], []
     for thread_sent, post_sents in samples:
-        posts = list(post_sents)
         if thread_sent not in SENTIMENTS:
             raise ValueError(f"unknown thread sentiment {thread_sent!r}")
-        if not posts:
-            continue
-        vec = np.array([
-            sum(1 for s in posts if s == target) / len(posts)
-            for target in SENTIMENTS
-        ])
-        per_class[thread_sent].append(vec)
-    cols = []
-    for s in SENTIMENTS:
-        if not per_class[s]:
-            raise ValueError(f"no sampled threads with sentiment {s!r}")
-        cols.append(np.mean(per_class[s], axis=0))
-    return np.column_stack(cols)
+        posts = list(post_sents)
+        if posts:
+            classes.append(SENTIMENTS.index(thread_sent))
+            sequences.append(posts)
+    return label_mixing(np.array(classes, dtype=np.int64), _coded(sequences))
 
 
 def infer_post_sentiment(summaries, m: np.ndarray) -> list:
@@ -280,16 +298,9 @@ def infer_post_sentiment(summaries, m: np.ndarray) -> list:
 
 def inferred_ratio_zscores(proportions) -> dict:
     """Z-scored pos/neg, neg/pos and neutral ratios of inferred proportions."""
-    series = {r: [] for r in RATIOS}
-    for prop in proportions:
-        if prop is None:
-            for r in RATIOS:
-                series[r].append(None)
-            continue
-        counts = dict(zip(SENTIMENTS, prop))
-        for r in RATIOS:
-            series[r].append(_ratio(counts, r))
-    return {r: zscore_values(v) for r, v in series.items()}
+    counts = [None if p is None else dict(zip(SENTIMENTS, p)) for p in proportions]
+    return {r: zscore_values([None if c is None else _ratio(c, r) for c in counts])
+            for r in RATIOS}
 
 
 def infer_discordance(summaries, per_class_avg: dict) -> list:
@@ -304,21 +315,6 @@ def infer_discordance(summaries, per_class_avg: dict) -> list:
             den += c
         out.append(num / den if den else None)
     return out
-
-
-def cohen_kappa(labels_a, labels_b) -> float:
-    """Chance-corrected agreement between two equal-length label sequences."""
-    a = list(labels_a)
-    b = list(labels_b)
-    if len(a) != len(b) or not a:
-        raise ValueError("label sequences must be non-empty and equal length")
-    n = len(a)
-    p_o = sum(1 for x, y in zip(a, b) if x == y) / n
-    cats = set(a) | set(b)
-    p_e = sum((a.count(c) / n) * (b.count(c) / n) for c in cats)
-    if p_e == 1.0:
-        return 1.0 if p_o == 1.0 else 0.0
-    return (p_o - p_e) / (1 - p_e)
 
 
 def summaries_to_csv(summaries) -> str:

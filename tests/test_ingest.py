@@ -2,12 +2,14 @@ import io
 import json
 from datetime import date, datetime
 
+import numpy as np
 import pytest
 
-from forumnet.ingest import (IngestError, PostRecord, WindowSpec, add_months,
-                             derive_threads, make_windows, parse_duration,
-                             parse_posts, window_starts, window_stats,
-                             write_posts_csv)
+from forumnet.ingest import (LABEL_CODES, IngestError, PostRecord, WindowSpec,
+                             add_months, make_windows, parse_duration,
+                             parse_posts, post_table, window_starts,
+                             window_stats, write_posts_csv)
+from oracles import epoch_seconds
 
 CSV = """post_id,thread_id,user_id,timestamp,is_original,sentiment
 p1,t1,alice,2020-01-01T10:00:00,true,positive
@@ -73,19 +75,21 @@ def test_posts_csv_roundtrip():
 
 
 def test_derive_threads():
-    posts = parse_posts(io.StringIO(CSV))
-    threads = derive_threads(posts)
-    assert threads["t1"].post_count == 2
-    assert threads["t1"].sentiment == "positive"
-    assert threads["t2"].user_count == 1
+    table = post_table(parse_posts(io.StringIO(CSV)))
+    assert table.thread_ids == ["t1", "t2"]
+    assert table.user_ids == ["alice", "bob"]
+    assert np.bincount(table.thread).tolist() == [2, 1]
+    assert table.thread_label[0] == LABEL_CODES["positive"]
+    assert len(set(table.user[table.thread == 1].tolist())) == 1
+    assert table.thread_creation[1] == epoch_seconds(datetime(2020, 2, 3, 9))
 
 
 def test_derive_threads_requires_single_original():
     posts = [
         PostRecord(datetime(2020, 1, 1), "a", "t", "u", False, None),
     ]
-    with pytest.raises(IngestError):
-        derive_threads(posts)
+    with pytest.raises(IngestError, match="thread t: .* found 0"):
+        post_table(posts)
 
 
 def test_add_months_clamps_day():
@@ -134,9 +138,10 @@ def test_make_windows_half_open_and_thread_scope():
     assert window_stats(ws[0]) == {"posts": 1, "threads": 1, "users": 1}
     # the February slice sees t1's reply but inherits the corpus sentiment
     feb = ws[1]
-    assert feb.threads["t1"].post_count == 1
-    assert feb.threads["t1"].sentiment == "neutral"
-    assert feb.threads["t2"].sentiment is None
+    t = feb.table
+    assert window_stats(feb) == {"posts": 2, "threads": 2, "users": 2}
+    assert np.bincount(t.thread[feb.rows]).tolist() == [1, 1]  # t1, t2
+    assert t.thread_label.tolist() == [LABEL_CODES["neutral"], LABEL_CODES[None]]
 
 
 HEADER = "post_id,thread_id,user_id,timestamp,is_original,sentiment\n"
@@ -230,13 +235,16 @@ def test_reply_before_original_is_accepted():
         PostRecord(datetime(2020, 1, 20), "p1", "t1", "bob", False, "negative"),
         PostRecord(datetime(2020, 2, 5), "p2", "t1", "ann", True, "positive"),
     ]
-    threads = derive_threads(posts)
-    assert threads["t1"].creation == datetime(2020, 2, 5)
-    assert threads["t1"].sentiment == "positive"
-    assert (threads["t1"].post_count, threads["t1"].user_count) == (2, 2)
-    assert derive_threads(posts[::-1]) == threads
+    table = post_table(posts)
+    assert table.thread_creation[0] == epoch_seconds(datetime(2020, 2, 5))
+    assert table.thread_label[0] == LABEL_CODES["positive"]
+    assert (len(table), len(table.user_ids)) == (2, 2)
+    backwards = post_table(posts[::-1])
+    for name in ("user", "thread", "time", "label", "is_original",
+                 "thread_label", "thread_creation"):
+        assert np.array_equal(getattr(backwards, name), getattr(table, name))
     spec = WindowSpec.from_tokens("2020-01-01", "2020-03-01", "1m", "1m")
     jan, feb = make_windows(posts, spec)
-    assert jan.threads["t1"].creation == datetime(2020, 2, 5)
-    assert jan.threads["t1"].sentiment == "positive"
-    assert feb.threads["t1"].post_count == 1
+    # the January reply is in January's window; the thread is February's
+    assert (jan.rows, feb.rows) == (slice(0, 1), slice(1, 2))
+    assert jan.table.thread_label[jan.table.thread[0]] == LABEL_CODES["positive"]

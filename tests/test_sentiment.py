@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from forumnet.ingest import PostRecord, WindowSpec, make_windows
 from forumnet.sentiment import (SENTIMENT_COMBOS, DiscordanceParams,
-                                SentimentSummary, cohen_kappa,
-                                discordance_thread, discordance_window_avg,
+                                SentimentSummary, discordance_thread,
+                                discordance_window_avg,
                                 flag_sentiment_changes, infer_discordance,
                                 infer_post_sentiment, inferred_ratio_zscores,
-                                labeled_sequences, mixing_matrix,
+                                labeled_threads, mixing_matrix,
                                 sentiment_metrics,
                                 summaries_to_csv, zscore_series,
                                 zscore_values)
+from oracles import cohen_kappa
 
 POS, NEU, NEG = "positive", "neutral", "negative"
 
@@ -169,15 +170,16 @@ def test_discordance_window_avg():
     ]
     w = make_windows(posts, WindowSpec.from_tokens(
         "2020-01-01", "2020-02-01", "1m", "1m"))[0]
-    sequences = labeled_sequences(w.posts).values()
+    groups = labeled_threads(w.table, w.rows)
     # t1 -> 1.0, t2 -> 0.0, t3 has a single labeled post and is skipped
-    assert discordance_window_avg(sequences) == pytest.approx(0.5)
+    assert discordance_window_avg(groups) == (pytest.approx(0.5), 2)
     # with a smallest window of 3, no thread qualifies
-    assert discordance_window_avg(sequences, DiscordanceParams(3, 5)) is None
+    assert discordance_window_avg(groups, DiscordanceParams(3, 5)) == (None, 0)
     empty = make_windows(
         [PostRecord(datetime(2020, 1, 1), "p", "t", "u", True, None)],
         WindowSpec.from_tokens("2020-01-01", "2020-02-01", "1m", "1m"))[0]
-    assert discordance_window_avg(labeled_sequences(empty.posts).values()) is None
+    assert discordance_window_avg(labeled_threads(empty.table, empty.rows)) == (
+        None, 0)
 
 
 TABLE = np.array([

@@ -1,12 +1,39 @@
+import json
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
-from forumnet.ingest import derive_threads
-from forumnet.synth import (RegimeScript, ScriptError, Segment,
-                            generate_forum, script_to_json, total_days)
+from forumnet.ingest import post_table
+from forumnet.synth import RegimeScript, ScriptError, Segment, generate_forum
 
 IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def total_days(script: RegimeScript) -> int:
+    return sum(seg.duration_days for seg in script.segments)
+
+
+def script_to_json(script: RegimeScript) -> str:
+    """The JSON text ``RegimeScript.from_json`` reads back."""
+    return json.dumps({
+        "seed": script.seed,
+        "start": script.start.isoformat(),
+        "thread_lifetime_days": script.thread_lifetime_days,
+        "segments": [
+            {
+                "duration_days": s.duration_days,
+                "user_pool": s.user_pool,
+                "threads_per_day": s.threads_per_day,
+                "posts_per_day": s.posts_per_day,
+                "thread_zipf": s.thread_zipf,
+                "user_zipf": s.user_zipf,
+                "thread_sentiment": list(s.thread_sentiment),
+                "mixing": [list(c) for c in s.mixing],
+            }
+            for s in script.segments
+        ],
+    }, indent=2) + "\n"
 
 
 def seg(**kw):
@@ -39,9 +66,10 @@ def test_output_is_well_formed():
         p.timestamp.date() < date(2021, 3, 1) + timedelta(days=20)
         for p in posts
     )
-    # every thread has exactly one original, so derivation succeeds
-    threads = derive_threads(posts)
-    assert sum(t.post_count for t in threads.values()) == len(posts)
+    # every thread has exactly one original, so coding succeeds
+    table = post_table(posts)
+    assert np.bincount(table.thread).sum() == len(posts)
+    assert table.is_original.sum() == len(table.thread_ids)
 
 
 def test_identity_mixing_keeps_thread_sentiment():
