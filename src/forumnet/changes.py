@@ -26,17 +26,18 @@ def upper_triangle_median(d: DistanceMatrix) -> float:
     return float(np.median(vals))
 
 
-def flag_changes(d: DistanceMatrix, jumps=(1, 2),
-                 precedence: bool = True) -> list[ChangeFlag]:
+def flag_changes(d: DistanceMatrix, jumps=(1, 2)) -> list[ChangeFlag]:
     """Flag window pairs whose distance exceeds the median of all pairs.
 
-    Strict inequality: ties with the median are not flagged. With
-    ``precedence`` enabled, a k>=2 flag starting at index i is suppressed
-    when a consecutive (k=1) flag also starts at i.
+    Strict inequality: ties with the median are not flagged.  A k>=2 flag
+    starting at index i is suppressed when a consecutive (k=1) flag also
+    starts at i.  Raises ValueError for a jump below 1.
     """
     n = d.size
     if n < 3:
         raise ValueError("need at least 3 windows to flag changes")
+    if any(k < 1 for k in jumps):
+        raise ValueError(f"jumps must be positive integers, got {list(jumps)}")
     med = upper_triangle_median(d)
     flags = []
     for k in sorted(jumps):
@@ -45,10 +46,8 @@ def flag_changes(d: DistanceMatrix, jumps=(1, 2),
             if dist > med:
                 flags.append(ChangeFlag(d.labels[i], d.labels[i + k],
                                         k, dist, med))
-    if precedence:
-        consecutive = {f.from_label for f in flags if f.jump == 1}
-        flags = [f for f in flags
-                 if f.jump == 1 or f.from_label not in consecutive]
+    consecutive = {f.from_label for f in flags if f.jump == 1}
+    flags = [f for f in flags if f.jump == 1 or f.from_label not in consecutive]
     flags.sort(key=lambda f: (f.from_label, f.jump))
     return flags
 

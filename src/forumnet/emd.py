@@ -42,11 +42,6 @@ class EmpiricalDistribution:
         )
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    distance: float
-
-
 def make_distribution(values) -> EmpiricalDistribution:
     """Empirical distribution with mass 1/n per value, duplicates merged."""
     arr = np.asarray(values, dtype=float)
@@ -76,15 +71,14 @@ def emd(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     return float(np.abs(cdf_diff[:-1]) @ np.diff(x))
 
 
-def emd_star(p: EmpiricalDistribution,
-             q: EmpiricalDistribution) -> AlignmentResult:
+def emd_star(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Unit-variance rescaling followed by the best-translation distance.
 
     Zero-variance handling: two point masses are at distance 0; if exactly
     one input is a point mass it stays unscaled and the optimum is the
     other distribution's mean absolute deviation about its median.
     """
-    return AlignmentResult(best_shift(standardise(p), standardise(q)))
+    return best_shift(standardise(p), standardise(q))
 
 
 def best_shift(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:

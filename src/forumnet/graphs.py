@@ -1,12 +1,14 @@
-"""Simple undirected graphs, weighted graphs and bipartite incidence structures.
+"""Simple undirected graphs and the edge-list text format.
 
 Node identities are dense integer indices throughout; string IDs from raw
 data are mapped to indices at ingestion time and never reach graph math.
+Projected user networks are built as arrays (see ``projection``) and only
+the sparsified result becomes a ``Graph``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -30,30 +32,6 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected graph with positive real edge weights."""
-
-    node_count: int
-    weights: dict[tuple[int, int], float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """User-thread incidence with per-pair post counts (absent means zero)."""
-
-    user_count: int
-    thread_count: int
-    incidence: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (u, t), c in self.incidence.items():
-            if not (0 <= u < self.user_count and 0 <= t < self.thread_count):
-                raise GraphError(f"incidence key out of bounds: ({u}, {t})")
-            if c < 1:
-                raise GraphError(f"incidence count must be >= 1, got {c} at ({u}, {t})")
 
 
 def _check_pair(u: int, v: int, node_count: int) -> tuple[int, int]:
@@ -106,11 +84,18 @@ def read_edge_list(lines):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise GraphError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = (int(x) if x.isdecimal() else -1 for x in parts[:2])
+        if u < 0 or v < 0:
+            raise GraphError(f"line {lineno}: node ids must be non-negative "
+                             f"integers, got {raw!r}")
         max_node = max(max_node, u, v)
         if len(parts) == 3:
             weighted = True
-            edges.append((u, v, float(parts[2])))
+            try:
+                edges.append((u, v, float(parts[2])))
+            except ValueError:
+                raise GraphError(f"line {lineno}: weight must be a number, "
+                                 f"got {parts[2]!r}") from None
         else:
             edges.append((u, v))
     if weighted:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import best_shift, emd_star, make_distribution, standardise
-from .orbits import ALL_ORBITS, OrbitMatrix
+from .emd import best_shift, make_distribution, standardise
+from .orbits import ALL_ORBITS
 
 
 @dataclass(frozen=True)
@@ -39,45 +39,47 @@ class DistanceMatrix:
     def size(self) -> int:
         return len(self.labels)
 
-    def to_csv(self, fmt: str = "%.12g") -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("," + ",".join(self.labels) + "\n")
         for i, lab in enumerate(self.labels):
-            buf.write(lab + "," + ",".join(fmt % v for v in self.values[i]) + "\n")
+            buf.write(lab + "," + ",".join("%.12g" % v for v in self.values[i]) + "\n")
         return buf.getvalue()
 
-    def per_orbit_csv(self, feature_index: int, fmt: str = "%.12g") -> str:
+    def per_orbit_csv(self, feature_index: int) -> str:
         if self.per_orbit is None:
             raise ValueError("no per-orbit matrices retained")
-        sub = DistanceMatrix(self.labels, self.per_orbit[feature_index])
-        return sub.to_csv(fmt)
+        return DistanceMatrix(self.labels, self.per_orbit[feature_index]).to_csv()
 
 
 def distance_matrix_from_csv(text: str) -> DistanceMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith(","):
+    """Parse ``DistanceMatrix.to_csv`` output; errors name the line.
+
+    The matrix must be exactly symmetric with a zero diagonal, as written.
+    """
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(rows) < 2 or not rows[0][1].startswith(","):
         raise ValueError("bad distance CSV: expected label header row")
-    labels = tuple(lines[0].split(",")[1:])
-    if len(lines) - 1 != len(labels):
+    labels = tuple(rows[0][1].split(",")[1:])
+    if len(rows) - 1 != len(labels):
         raise ValueError("bad distance CSV: row/column count mismatch")
     values = np.zeros((len(labels), len(labels)))
-    for i, line in enumerate(lines[1:]):
+    for i, (n, line) in enumerate(rows[1:]):
         cells = line.split(",")
         if cells[0] != labels[i] or len(cells) != len(labels) + 1:
-            raise ValueError(f"bad distance CSV row {line!r}")
-        values[i] = [float(c) for c in cells[1:]]
+            raise ValueError(f"line {n}: bad distance CSV row {line!r}")
+        try:
+            values[i] = [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+    # the first entry, in reading order, whose mirror or diagonal is wrong
+    bad = np.argwhere(np.tril((values != values.T) | np.diag(values.diagonal() != 0)))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"line {rows[i + 1][0]}: distance matrix must be symmetric "
+                         f"with a zero diagonal, got {float(values[i, j])!r} at "
+                         f"({labels[i]}, {labels[j]})")
     return DistanceMatrix(labels, values)
-
-
-def netemd(a: OrbitMatrix, b: OrbitMatrix, orbits: OrbitSet = OrbitSet()) -> dict:
-    """Mean shape distance over the orbit set; also returns the breakdown."""
-    per = [
-        emd_star(
-            make_distribution(a.column(o)), make_distribution(b.column(o))
-        ).distance
-        for o in orbits.ids
-    ]
-    return {"total": float(np.mean(per)), "per_orbit": per}
 
 
 def _standard_features(columns):
@@ -130,6 +132,7 @@ def netemd_matrix(collection, orbits: OrbitSet = OrbitSet(), labels=None,
 def pca_reconstruct(collection, explained_variance: float = 0.9):
     """Denoise orbit-count features by PCA reconstruction.
 
+    ``collection`` holds one (nodes, features) count array per network.
     Rows are per-node orbit vectors transformed by log(1+x) and pooled
     across all networks; columns are centered; the smallest component
     count reaching the explained-variance threshold is kept and rows are
@@ -138,8 +141,7 @@ def pca_reconstruct(collection, explained_variance: float = 0.9):
     """
     if not 0 < explained_variance <= 1:
         raise ValueError("explained_variance must be in (0, 1]")
-    mats = [np.log1p(np.asarray(m.counts if isinstance(m, OrbitMatrix) else m,
-                                dtype=float)) for m in collection]
+    mats = [np.log1p(np.asarray(m, dtype=float)) for m in collection]
     sizes = [m.shape[0] for m in mats]
     pooled = np.vstack(mats)
     ncols = pooled.shape[1]

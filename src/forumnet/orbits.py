@@ -76,20 +76,28 @@ class OrbitMatrix:
 
 
 def orbit_matrix_from_csv(text: str) -> OrbitMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse ``OrbitMatrix.to_csv`` output; errors name the line."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows:
         raise GraphError("empty orbit CSV")
-    header = lines[0].split(",")
-    if header[0] != "node" or any(not h.startswith("o") for h in header[1:]):
-        raise GraphError(f"bad orbit CSV header {lines[0]!r}")
-    orbit_ids = tuple(int(h[1:]) for h in header[1:])
-    counts = np.zeros((len(lines) - 1, len(orbit_ids)), dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
+    (n, head), *body = rows
+    header = head.split(",")
+    # distinct known orbits, each as "o<id>"
+    orbit_ids = tuple(int(h[1:]) if h[:1] == "o" and h[1:].isdecimal() else -1
+                      for h in header[1:])
+    if (header[0] != "node" or len(set(orbit_ids)) < len(orbit_ids)
+            or not set(orbit_ids) <= set(ALL_ORBITS)):
+        raise GraphError(f"line {n}: bad orbit CSV header {head!r}")
+    counts = np.zeros((len(body), len(orbit_ids)), dtype=np.int64)
+    for i, (n, line) in enumerate(body):
         cells = line.split(",")
-        if len(cells) != len(header) or int(cells[0]) != i:
-            raise GraphError(f"bad orbit CSV row {line!r}")
-        counts[i] = [int(c) for c in cells[1:]]
-    return OrbitMatrix(len(lines) - 1, orbit_ids, counts)
+        if len(cells) != len(header) or cells[0] != str(i):
+            raise GraphError(f"line {n}: bad orbit CSV row {line!r}")
+        try:
+            counts[i] = [int(c) for c in cells[1:]]
+        except (ValueError, OverflowError) as exc:  # not an int64
+            raise GraphError(f"line {n}: {exc}") from None
+    return OrbitMatrix(len(body), orbit_ids, counts)
 
 
 def _check_max_size(max_size):

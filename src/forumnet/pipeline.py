@@ -141,8 +141,16 @@ def windows_table(windows) -> str:
 def compare_orbit_matrices(matrices, labels, orbit_max_size: int, mode: str,
                            explained_variance: float,
                            workers: int | None) -> DistanceMatrix:
-    """All-pairs NetEmd (``mode`` "netemd") or PCA-NetEmd distances."""
+    """All-pairs NetEmd (``mode`` "netemd") or PCA-NetEmd distances.
+
+    Raises ValueError when a matrix lacks an orbit of the census size.
+    """
     oset = OrbitSet(ORBITS_BY_SIZE[orbit_max_size])
+    for m, label in zip(matrices, labels):
+        missing = set(oset.ids) - set(m.orbit_ids)
+        if missing:
+            raise ValueError(f"{label}: orbit {min(missing)} not present in matrix "
+                             f"(max size {orbit_max_size} needs orbits 0-{max(oset.ids)})")
     if mode == "pca-netemd":
         return pca_netemd_matrix(matrices, oset, explained_variance, labels,
                                  workers)

@@ -1,27 +1,17 @@
-"""Bipartite construction, one-mode user projection and threshold sparsification.
+"""User-thread incidence, one-mode user projection and threshold sparsification.
 
-``project_pairs`` and ``sparsify_pairs`` are the one array kernel:
-``project_window`` runs it on a window of the post table, and
-``build_bipartite``, ``project_users`` and ``sparsify_threshold`` adapt it
-to the dict-based graph types.
+``project_window`` is the stage: it reads a window's (user, thread, post
+count) incidence from the post table and runs the array kernel,
+``project_pairs`` then ``sparsify_pairs``, whose kept pairs become the
+window's ``Graph``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graphs import BipartiteGraph, Graph, GraphError, WeightedGraph
+from .graphs import Graph, GraphError
 from .ingest import Window, appearance_rank
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    weighted: WeightedGraph   # restricted to users with at least one edge
-    threshold: float
-    sparsified: Graph         # edges with weight >= threshold; no isolated nodes
-    user_index: tuple         # position -> original user index
 
 
 def project_pairs(n: int, user, thread, count, weighted: bool = True):
@@ -74,8 +64,9 @@ def sparsify_pairs(n: int, a, b, w):
 
 
 def _incidence(w: Window):
-    """In-window users and threads (sorted codes) and the (user, thread,
-    post count) entries over their positions, in order of first post."""
+    """In-window users (sorted codes) and the (user, thread, post count)
+    entries over user and thread positions in code order, in order of
+    first post."""
     t = w.table
     users, user = np.unique(t.user[w.rows], return_inverse=True)
     threads, thread = np.unique(t.thread[w.rows], return_inverse=True)
@@ -83,7 +74,7 @@ def _incidence(w: Window):
     keys, first, count = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(first)
     keys = keys[order]
-    return users, threads, keys // threads.size, keys % threads.size, count[order]
+    return users, keys // threads.size, keys % threads.size, count[order]
 
 
 def project_window(w: Window, weighted: bool) -> tuple[Graph, float]:
@@ -92,46 +83,8 @@ def project_window(w: Window, weighted: bool) -> tuple[Graph, float]:
     Threads contribute in the order of their first in-window post.  Raises
     GraphError if the projection has no edges.
     """
-    users, _, user, thread, count = _incidence(w)
+    users, user, thread, count = _incidence(w)
     a, b, weights = project_pairs(users.size, user, thread, count, weighted)
     threshold, active, a, b, kept = sparsify_pairs(users.size, a, b, weights)
     edges = frozenset(zip(a[kept].tolist(), b[kept].tolist()))
     return Graph(active.size, edges), threshold
-
-
-def build_bipartite(w: Window):
-    """Per-window user-thread incidence (post counts).
-
-    Returns (BipartiteGraph, user ids in index order, thread ids in index
-    order); only users/threads with in-window posts appear.
-    """
-    users, threads, user, thread, count = _incidence(w)
-    incidence = dict(zip(zip(user.tolist(), thread.tolist()), count.tolist()))
-    return (BipartiteGraph(users.size, threads.size, incidence),
-            [w.table.user_ids[i] for i in users],
-            [w.table.thread_ids[i] for i in threads])
-
-
-def _pair_arrays(pairs: dict):
-    keys = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-    return keys[:, 0], keys[:, 1], np.array(list(pairs.values()))
-
-
-def project_users(b: BipartiteGraph, weighted: bool = True) -> WeightedGraph:
-    """``project_pairs`` over a BipartiteGraph; threads contribute in the
-    order of their first incidence entry."""
-    user, thread, count = _pair_arrays(b.incidence)
-    a, bb, w = project_pairs(b.user_count, user, thread, count, weighted)
-    return WeightedGraph(b.user_count,
-                         dict(zip(zip(a.tolist(), bb.tolist()), w.tolist())))
-
-
-def sparsify_threshold(g: WeightedGraph) -> ProjectionResult:
-    """``sparsify_pairs`` over a WeightedGraph; users without edges go."""
-    a, b, w = _pair_arrays(g.weights)
-    threshold, active, a, b, kept = sparsify_pairs(g.node_count, a, b, w)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    return ProjectionResult(
-        WeightedGraph(active.size, dict(zip(pairs, w.tolist()))), threshold,
-        Graph(active.size, frozenset(p for p, k in zip(pairs, kept) if k)),
-        tuple(active.tolist()))

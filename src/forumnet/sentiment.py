@@ -108,13 +108,13 @@ class ZTable:
     ratios: dict[tuple[str, str], list]  # (metric, ratio) -> per-window values
     zscores: dict[tuple[str, str], list]
 
-    def to_csv(self, fmt: str = "%.9g") -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         keys = sorted(self.zscores)
         buf.write("window," + ",".join(f"{m}_{r}" for m, r in keys) + "\n")
         for i, lab in enumerate(self.labels):
             cells = [
-                "" if self.zscores[k][i] is None else fmt % self.zscores[k][i]
+                "" if self.zscores[k][i] is None else "%.9g" % self.zscores[k][i]
                 for k in keys
             ]
             buf.write(lab + "," + ",".join(cells) + "\n")
@@ -196,14 +196,6 @@ def labeled_threads(table: PostTable, rows=slice(None)) -> LabeledThreads:
     return LabeledThreads(thread[order][bounds[:-1]], bounds, label[keep][order])
 
 
-def _coded(sequences) -> LabeledThreads:
-    """Sentiment-name sequences as groups; ValueError on an unknown name."""
-    codes = [[SENTIMENTS.index(s) for s in seq] for seq in sequences]
-    return LabeledThreads(np.arange(len(codes)),
-                          np.cumsum([0] + list(map(len, codes))),
-                          np.array([x for c in codes for x in c], dtype=np.int8))
-
-
 def discordance_scores(groups: LabeledThreads,
                        params: DiscordanceParams = DiscordanceParams()) -> list:
     """Normalized local disagreement of every group's label sequence.
@@ -237,11 +229,6 @@ def discordance_scores(groups: LabeledThreads,
     return [sum(r[:k]) / k if k > 0 else 0.0 for r, k in zip(rows, fits.tolist())]
 
 
-def discordance_thread(sentiments, params: DiscordanceParams = DiscordanceParams()) -> float:
-    """Discordance of one ordered sentiment sequence (see ``discordance_scores``)."""
-    return discordance_scores(_coded([sentiments]), params)[0]
-
-
 def discordance_window_avg(groups: LabeledThreads,
                            params: DiscordanceParams = DiscordanceParams()):
     """(mean discordance over the groups whose labels fill the smallest
@@ -269,20 +256,6 @@ def label_mixing(classes, groups: LabeledThreads) -> np.ndarray:
             raise ValueError(f"no sampled threads with sentiment {s!r}")
         cols.append(np.mean(props[classes == code], axis=0))
     return np.column_stack(cols)
-
-
-def mixing_matrix(samples) -> np.ndarray:
-    """``label_mixing`` of (thread sentiment, post sentiment sequence)
-    samples; samples without posts are skipped."""
-    classes, sequences = [], []
-    for thread_sent, post_sents in samples:
-        if thread_sent not in SENTIMENTS:
-            raise ValueError(f"unknown thread sentiment {thread_sent!r}")
-        posts = list(post_sents)
-        if posts:
-            classes.append(SENTIMENTS.index(thread_sent))
-            sequences.append(posts)
-    return label_mixing(np.array(classes, dtype=np.int64), _coded(sequences))
 
 
 def infer_post_sentiment(summaries, m: np.ndarray) -> list:

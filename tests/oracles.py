@@ -9,7 +9,10 @@ The dict-based stages below (thread derivation, windows of post records,
 bipartite projection and sparsification, sentiment summaries, discordance
 and the mixing matrix) are the string-keyed implementations that the
 integer-coded ``PostTable`` path replaced; ``test_table.py`` asserts exact
-equality against them.  The graph helpers at the end have no caller in
+equality against them.  Graphs here are ``Graph``s or plain dicts: an
+incidence maps (user, thread) to a post count and weights map (u, v) to a
+weight.  ``coded`` turns sentiment-name sequences into the groups that the
+sentiment kernels take.  The graph helpers at the end have no caller in
 the package.
 """
 
@@ -22,15 +25,15 @@ from operator import itemgetter
 
 import numpy as np
 
-from forumnet.graphs import (BipartiteGraph, Graph, GraphError, WeightedGraph,
-                             _check_pair, adjacency_mask, build_graph)
+from forumnet.graphs import (Graph, GraphError, _check_pair, adjacency_mask,
+                             build_graph)
 from forumnet.ingest import (SENTIMENTS, IngestError, PostRecord, WindowSpec,
                              add_months, window_starts)
-from forumnet.projection import ProjectionResult
 from forumnet.report import discordance_csv, series_csv
 from forumnet.sentiment import (SENTIMENT_COMBOS, DiscordanceParams,
-                                SentimentSummary, infer_discordance,
-                                infer_post_sentiment, inferred_ratio_zscores)
+                                LabeledThreads, SentimentSummary,
+                                infer_discordance, infer_post_sentiment,
+                                inferred_ratio_zscores)
 
 
 def canonical_small(g: Graph) -> tuple[int, int]:
@@ -211,7 +214,7 @@ def windows_table(windows) -> str:
 def build_bipartite(w: WindowSlice):
     """Per-window user-thread incidence (post counts).
 
-    Returns (BipartiteGraph, user ids in index order, thread ids in index
+    Returns (incidence, user ids in index order, thread ids in index
     order); only users/threads with in-window posts appear.
     """
     users = sorted({p.user_id for p in w.posts})
@@ -222,10 +225,10 @@ def build_bipartite(w: WindowSlice):
     for p in w.posts:
         key = (uidx[p.user_id], tidx[p.thread_id])
         incidence[key] = incidence.get(key, 0) + 1
-    return BipartiteGraph(len(users), len(threads), incidence), users, threads
+    return incidence, users, threads
 
 
-def project_users(b: BipartiteGraph, weighted: bool = True) -> WeightedGraph:
+def project_users(incidence: dict, weighted: bool = True) -> dict:
     """One-mode projection onto users.
 
     Plain mode sums x_it * x_jt over threads; weighted mode divides each
@@ -234,7 +237,7 @@ def project_users(b: BipartiteGraph, weighted: bool = True) -> WeightedGraph:
     threads contribute nothing.
     """
     per_thread: dict[int, list[tuple[int, int]]] = {}
-    for (u, t), c in b.incidence.items():
+    for (u, t), c in incidence.items():
         per_thread.setdefault(t, []).append((u, c))
     weights: dict[tuple[int, int], float] = {}
     for t, members in per_thread.items():
@@ -249,13 +252,28 @@ def project_users(b: BipartiteGraph, weighted: bool = True) -> WeightedGraph:
                 ub, cb = members[bb]
                 key = (ua, ub)
                 weights[key] = weights.get(key, 0.0) + ca * cb / denom
-    return WeightedGraph(b.user_count, weights)
+    return weights
 
 
-def sparsify_threshold(g: WeightedGraph) -> ProjectionResult:
-    """Drop edges below the largest weight that isolates nobody."""
+def pair_arrays(pairs: dict):
+    """Keys and values of a dict keyed by integer pairs, as three arrays."""
+    keys = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return keys[:, 0], keys[:, 1], np.array(list(pairs.values()), dtype=float)
+
+
+def pair_dict(a, b, w) -> dict:
+    """The inverse of ``pair_arrays``: {(a, b): w}."""
+    return dict(zip(zip(a.tolist(), b.tolist()), w.tolist()))
+
+
+def sparsify_threshold(weights: dict) -> dict:
+    """Drop edges below the largest weight that isolates nobody.
+
+    Returns the threshold, the weights over the users with an edge
+    (renumbered), the sparsified ``Graph`` and each position's old index.
+    """
     max_w: dict[int, float] = {}
-    for (u, v), w in g.weights.items():
+    for (u, v), w in weights.items():
         if w > max_w.get(u, 0.0):
             max_w[u] = w
         if w > max_w.get(v, 0.0):
@@ -265,15 +283,10 @@ def sparsify_threshold(g: WeightedGraph) -> ProjectionResult:
     active = sorted(max_w)
     remap = {u: i for i, u in enumerate(active)}
     threshold = min(max_w.values())
-    weighted = WeightedGraph(
-        len(active),
-        {(remap[u], remap[v]): w for (u, v), w in g.weights.items()},
-    )
-    kept = frozenset(
-        pair for pair, w in weighted.weights.items() if w >= threshold
-    )
-    return ProjectionResult(weighted, threshold,
-                            Graph(len(active), kept), tuple(active))
+    remapped = {(remap[u], remap[v]): w for (u, v), w in weights.items()}
+    kept = frozenset(pair for pair, w in remapped.items() if w >= threshold)
+    return {"threshold": threshold, "weights": remapped,
+            "sparsified": Graph(len(active), kept), "user_index": tuple(active)}
 
 
 def sentiment_metrics(w: WindowSlice) -> SentimentSummary:
@@ -327,6 +340,14 @@ def discordance_thread(sentiments, params: DiscordanceParams = DiscordanceParams
         most = 2 * (D // 2) * ((D + 1) // 2)
         per_d.append(total / ((n - D + 1) * most))
     return sum(per_d) / len(per_d)
+
+
+def coded(sequences) -> LabeledThreads:
+    """Sentiment-name sequences as groups; ValueError on an unknown name."""
+    codes = [[SENTIMENTS.index(s) for s in seq] for seq in sequences]
+    return LabeledThreads(np.arange(len(codes)),
+                          np.cumsum([0] + list(map(len, codes))),
+                          np.array([x for c in codes for x in c], dtype=np.int8))
 
 
 def qualifies(seq, params: DiscordanceParams) -> bool:
@@ -408,8 +429,8 @@ def inference_artifacts(posts, summaries,
 
 # --- graph helpers with no caller in the package ---
 
-def build_weighted_graph(node_count, weighted_edges) -> WeightedGraph:
-    """Build a weighted graph from (u, v, w) triples; weights must be > 0."""
+def build_weighted_graph(node_count, weighted_edges) -> dict:
+    """Weights of (u, v, w) triples by node pair; weights must be > 0."""
     if node_count < 0:
         raise GraphError("node_count must be non-negative")
     weights: dict[tuple[int, int], float] = {}
@@ -420,49 +441,32 @@ def build_weighted_graph(node_count, weighted_edges) -> WeightedGraph:
         if not w > 0:
             raise GraphError(f"edge weight must be positive: ({u}, {v}, {w})")
         weights[pair] = float(w)
-    return WeightedGraph(node_count, weights)
+    return weights
 
 
-def degrees(g) -> list[int]:
-    """Degree sequence of a Graph or WeightedGraph."""
-    deg = [0] * g.node_count
-    for u, v in (g.weights if isinstance(g, WeightedGraph) else g.edges):
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
-def weighted_degrees(g: WeightedGraph) -> list[float]:
-    wd = [0.0] * g.node_count
-    for (u, v), w in g.weights.items():
+def weighted_degrees(node_count, weights: dict) -> list[float]:
+    wd = [0.0] * node_count
+    for (u, v), w in weights.items():
         wd[u] += w
         wd[v] += w
     return wd
 
 
-def graph_stats(g) -> dict:
+def graph_stats(g: Graph) -> dict:
     """Degree sequence, density and isolated-node count.
 
     Density is |E| / C(n, 2) for n >= 2 and 0 for degenerate graphs.
-    For weighted graphs the weighted degree sequence is included too.
     """
-    deg = degrees(g)
+    deg = g.degrees()
     n = g.node_count
-    m = len(g.weights) if isinstance(g, WeightedGraph) else g.edge_count
-    density = 0.0 if n < 2 else m / (n * (n - 1) / 2)
-    stats = {
-        "degrees": deg,
-        "density": density,
-        "isolated": sum(1 for d in deg if d == 0),
-    }
-    if isinstance(g, WeightedGraph):
-        stats["weighted_degrees"] = weighted_degrees(g)
-    return stats
+    density = 0.0 if n < 2 else g.edge_count / (n * (n - 1) / 2)
+    return {"degrees": deg, "density": density,
+            "isolated": sum(1 for d in deg if d == 0)}
 
 
-def write_weighted_edge_list(g: WeightedGraph) -> str:
-    """Serialize a WeightedGraph as ``u v w`` lines."""
-    lines = [f"{u} {v} {w!r}" for (u, v), w in sorted(g.weights.items())]
+def write_weighted_edge_list(weights: dict) -> str:
+    """Serialize weights as ``u v w`` lines."""
+    lines = [f"{u} {v} {w!r}" for (u, v), w in sorted(weights.items())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -18,16 +18,17 @@ import pytest
 
 from forumnet.changes import flag_changes
 from forumnet.emd import emd, emd_star, make_distribution, quantile_shift_profile
-from forumnet.graphs import BipartiteGraph, WeightedGraph, build_graph
+from forumnet.graphs import Graph, build_graph
 from forumnet.ingest import WindowSpec, make_windows, window_starts, write_posts_csv
-from forumnet.netemd import OrbitSet, netemd, netemd_matrix, pca_netemd_matrix
+from forumnet.netemd import OrbitSet, netemd_matrix, pca_netemd_matrix
 from forumnet.orbits import count_orbits, count_orbits_bruteforce
 from forumnet.pipeline import PipelineConfig, run_pipeline
-from forumnet.projection import project_users, sparsify_threshold, build_bipartite
-from forumnet.sentiment import (DiscordanceParams, discordance_thread,
+from forumnet.projection import project_pairs, project_window, sparsify_pairs
+from forumnet.sentiment import (DiscordanceParams, discordance_scores,
                                 flag_sentiment_changes, infer_post_sentiment,
-                                mixing_matrix, sentiment_metrics, zscore_series)
+                                label_mixing, sentiment_metrics, zscore_series)
 from forumnet.synth import RegimeScript, Segment, generate_forum
+from oracles import coded, pair_arrays, pair_dict
 
 POS, NEU, NEG = "positive", "neutral", "negative"
 
@@ -105,15 +106,15 @@ def test_criterion_3_metric_properties(acceptance):
     sym = nonneg = affine = grid = 0
     for _ in range(1000):
         p, q = rand_dist(), rand_dist()
-        d_pq = emd_star(p, q).distance
-        d_qp = emd_star(q, p).distance
+        d_pq = emd_star(p, q)
+        d_qp = emd_star(q, p)
         sym += int(abs(d_pq - d_qp) <= 1e-8)
         nonneg += int(d_pq >= 0)
         a = rng.uniform(0.1, 5.0)
         b = rng.uniform(-10, 10)
         img = type(p)(p.support * a + b, p.masses, p.mean * a + b,
                       p.variance * a * a)
-        affine += int(emd_star(p, img).distance <= 1e-8)
+        affine += int(emd_star(p, img) <= 1e-8)
         grid += int(abs(d_pq - _grid_min(p, q)) <= 1e-6)
 
     g = _random_graph(18, 0.35, rng)
@@ -123,7 +124,7 @@ def test_criterion_3_metric_properties(acceptance):
         perm = list(range(18))
         rng.shuffle(perm)
         h = build_graph(18, [(perm[u], perm[v]) for u, v in g.edges])
-        relabel += int(netemd(om, count_orbits(h))["total"] == 0.0)
+        relabel += int(netemd_matrix([om, count_orbits(h)]).values[0, 1] == 0.0)
 
     ok = sym == nonneg == affine == grid == 1000 and relabel == 100
     acceptance(3, "EMD*/NetEmd metric properties", ok,
@@ -136,7 +137,7 @@ def test_criterion_3_metric_properties(acceptance):
 def test_criterion_4_triangle_vs_path_spot_value(acceptance):
     tri = count_orbits(build_graph(3, [(0, 1), (1, 2), (0, 2)]), 2)
     path = count_orbits(build_graph(3, [(0, 1), (1, 2)]), 2)
-    got = netemd(tri, path, OrbitSet((0,)))["total"]
+    got = netemd_matrix([tri, path], OrbitSet((0,))).values[0, 1]
     expect = 1 / math.sqrt(2)
     oracle = _grid_min(make_distribution(tri.column(0)),
                        make_distribution(path.column(0)))
@@ -158,21 +159,20 @@ def test_criterion_5_projection_correctness(acceptance):
             for u in range(users) for t in range(threads)
             if rng.random() < 0.4
         }
-        b = BipartiteGraph(users, threads, inc)
         X = np.zeros((users, threads))
         for (u, t), c in inc.items():
             X[u, t] = c
         multi = np.count_nonzero(X, axis=0) >= 2
         P = X[:, multi] @ X[:, multi].T
-        g = project_users(b, weighted=False)
+        weights = pair_dict(*project_pairs(users, *pair_arrays(inc), weighted=False))
         good = all(
-            g.weights.get((u, v), 0.0) == P[u, v]
+            weights.get((u, v), 0.0) == P[u, v]
             for u in range(users) for v in range(u + 1, users)
         )
         plain_ok += int(good)
 
-    hand = project_users(BipartiteGraph(2, 1, {(0, 0): 2, (1, 0): 1}))
-    hand_ok = hand.weights == {(0, 1): 2 / 3}
+    hand = pair_dict(*project_pairs(2, *pair_arrays({(0, 0): 2, (1, 0): 1})))
+    hand_ok = hand == {(0, 1): 2 / 3}
 
     thr_ok = 0
     for _ in range(100):
@@ -184,21 +184,23 @@ def test_criterion_5_projection_correctness(acceptance):
         if not weights:
             thr_ok += 1
             continue
-        res = sparsify_threshold(WeightedGraph(n, weights))
+        threshold, active, a, b, kept = sparsify_pairs(n, *pair_arrays(weights))
+        sparsified = Graph(active.size, frozenset(zip(a[kept].tolist(),
+                                                      b[kept].tolist())))
         max_w = {}
         for (u, v), w in weights.items():
             max_w[u] = max(max_w.get(u, 0.0), w)
             max_w[v] = max(max_w.get(v, 0.0), w)
         closed_form = min(max_w.values())
         kept_above = [
-            p for p, w in res.weighted.weights.items()
-            if w >= res.threshold + 1e-12
+            p for p, w in zip(zip(a.tolist(), b.tolist()), weights.values())
+            if w >= threshold + 1e-12
         ]
         touched = {x for p in kept_above for x in p}
         thr_ok += int(
-            res.threshold == closed_form
-            and all(d > 0 for d in res.sparsified.degrees())
-            and len(touched) < res.sparsified.node_count
+            threshold == closed_form
+            and all(d > 0 for d in sparsified.degrees())
+            and len(touched) < sparsified.node_count
         )
 
     ok = plain_ok == 100 and hand_ok and thr_ok == 100
@@ -239,11 +241,12 @@ def test_criterion_7_mixing_matrix_roundtrip(acceptance):
         counts = [round(x * total) for x in props]
         return [POS] * counts[0] + [NEU] * counts[1] + [NEG] * counts[2]
 
-    m = mixing_matrix([
-        (POS, posts_for(TABLE[:, 0])),
-        (NEU, posts_for(TABLE[:, 1])),
-        (NEG, posts_for(TABLE[:, 2])),
-    ])
+    # one thread of each class, in SENTIMENTS order
+    m = label_mixing(np.arange(3), coded([
+        posts_for(TABLE[:, 0]),
+        posts_for(TABLE[:, 1]),
+        posts_for(TABLE[:, 2]),
+    ]))
     round_ok = np.array_equal(np.round(m, 3), TABLE)
 
     class Neutral:
@@ -264,17 +267,15 @@ def test_criterion_7_mixing_matrix_roundtrip(acceptance):
 
 def test_criterion_8_discordance(acceptance):
     d2 = DiscordanceParams(2, 2)
-    block = discordance_thread([NEG] * 3 + [POS] * 3, d2)
-    inter = discordance_thread([NEG, POS] * 3, d2)
+    block, inter = discordance_scores(
+        coded([[NEG] * 3 + [POS] * 3, [NEG, POS] * 3]), d2)
     contrast_ok = block == 0.2 and inter == 1.0
 
     rng = random.Random(8)
-    bounds_ok = all(
-        0.0 <= discordance_thread(
-            [rng.choice((POS, NEU, NEG)) for _ in range(rng.randint(2, 15))]
-        ) <= 1.0
-        for _ in range(10_000)
-    )
+    scores = discordance_scores(coded(
+        [rng.choice((POS, NEU, NEG)) for _ in range(rng.randint(2, 15))]
+        for _ in range(10_000)))
+    bounds_ok = len(scores) == 10_000 and all(0.0 <= v <= 1.0 for v in scores)
 
     # for every two-label multiset admitting a perfect alternation, the
     # alternating arrangement attains the exhaustive maximum
@@ -287,11 +288,10 @@ def test_criterion_8_discordance(acceptance):
                     continue
                 hi, lo = (a, b) if ca >= cb else (b, a)
                 alternating = [hi if i % 2 == 0 else lo for i in range(n)]
-                mx = max(
-                    discordance_thread(list(s))
-                    for s in set(itertools.permutations([a] * ca + [b] * cb))
-                )
-                alt_ok &= abs(discordance_thread(alternating) - mx) <= 1e-12
+                mx = max(discordance_scores(coded(
+                    set(itertools.permutations([a] * ca + [b] * cb)))))
+                (alt,) = discordance_scores(coded([alternating]))
+                alt_ok &= abs(alt - mx) <= 1e-12
     acceptance(8, "discordance contrast/bounds/alternating max",
                contrast_ok and bounds_ok and alt_ok,
                f"block {block}, interleaved {inter}")
@@ -339,13 +339,7 @@ def regime_runs():
     for seed in range(N_SEEDS):
         posts = generate_forum(_regime_script(seed))
         ws = make_windows(posts, WINDOWS)
-        mats = [
-            count_orbits(
-                sparsify_threshold(project_users(build_bipartite(w)[0]))
-                .sparsified
-            )
-            for w in ws
-        ]
+        mats = [count_orbits(project_window(w, True)[0]) for w in ws]
         labels = [w.label_str for w in ws]
         dn = netemd_matrix(mats, labels=labels)
         dp = pca_netemd_matrix(mats, explained_variance=0.90, labels=labels)

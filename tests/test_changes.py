@@ -41,7 +41,8 @@ def test_consecutive_flag_suppresses_jump_two():
     flags = flag_changes(d)
     # (w0, w2) at jump 2 exceeds the median but w0 already has a k=1 flag
     assert [(f.from_label, f.jump) for f in flags] == [("w0", 1)]
-    unsuppressed = flag_changes(d, precedence=False)
+    # each jump on its own: no consecutive flag to suppress the jump-2 one
+    unsuppressed = flag_changes(d, (1,)) + flag_changes(d, (2,))
     assert [(f.from_label, f.jump) for f in unsuppressed] == [
         ("w0", 1), ("w0", 2)
     ]

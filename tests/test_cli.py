@@ -190,6 +190,25 @@ def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
                     + "x" * 200_000 + '"\n')
     assert main(["ingest", "--input", str(huge)]) == 1
     assert "error: line 3: field larger than field limit" in capsys.readouterr().err
+    dist = tmp_path / "dist.csv"
+    dist.write_text(",a,b,c\na,0,1,2\nb,1,0,4\nc,2,4,0\n")
+    for jumps in (["0"], ["1", "-1"]):
+        assert main(["detect", "--distances", str(dist), "--jumps", *jumps]) == 1
+        assert "error: jumps must be positive integers" in capsys.readouterr().err
+
+
+def test_compare_reports_missing_orbit(tmp_path, capsys):
+    edges = tmp_path / "tri.edges"
+    edges.write_text("0 1\n1 2\n0 2\n")
+    orbit_files = []
+    for name in ("small", "big"):
+        of = tmp_path / f"{name}.csv"
+        size = ["--max-size", "2"] if name == "small" else []
+        assert main(["orbits", "--edges", str(edges), "--out", str(of), *size]) == 0
+        orbit_files.append(str(of))
+    assert main(["compare", "--orbits", *orbit_files]) == 1
+    assert "error: small: orbit 1 not present" in capsys.readouterr().err
+    assert main(["compare", "--orbits", *orbit_files, "--max-size", "2"]) == 0
 
 
 def test_runtime_error_exits_two(tmp_path, capsys):

@@ -33,8 +33,8 @@ def test_build_graph_rejects_bad_edges(edges):
 def test_weighted_graph_requires_positive_weights():
     with pytest.raises(GraphError):
         build_weighted_graph(2, [(0, 1, 0.0)])
-    g = build_weighted_graph(3, [(0, 1, 2.0), (1, 2, 0.5)])
-    assert weighted_degrees(g) == [2.0, 2.5, 0.5]
+    weights = build_weighted_graph(3, [(0, 1, 2.0), (1, 2, 0.5)])
+    assert weighted_degrees(3, weights) == [2.0, 2.5, 0.5]
 
 
 def test_graph_stats():
@@ -87,10 +87,10 @@ def test_edge_list_roundtrip():
 
 
 def test_edge_list_weighted_roundtrip():
-    g = build_weighted_graph(3, [(0, 1, 0.25), (1, 2, 1.5)])
-    n, edges = read_edge_list(write_weighted_edge_list(g).splitlines())
+    weights = build_weighted_graph(3, [(0, 1, 0.25), (1, 2, 1.5)])
+    n, edges = read_edge_list(write_weighted_edge_list(weights).splitlines())
     assert n == 3
-    assert build_weighted_graph(n, edges).weights == g.weights
+    assert build_weighted_graph(n, edges) == weights
 
 
 def test_read_edge_list_comments_and_errors():
@@ -98,6 +98,17 @@ def test_read_edge_list_comments_and_errors():
     assert n == 3 and len(edges) == 2
     with pytest.raises(GraphError):
         read_edge_list(["0 1 2 3"])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x 2", "node ids must be non-negative integers, got 'x 2'"),
+    ("0 1.5", "node ids must be non-negative integers, got '0 1.5'"),
+    ("-1 2", "node ids must be non-negative integers, got '-1 2'"),
+    ("0 1 heavy", "weight must be a number, got 'heavy'"),
+])
+def test_read_edge_list_errors_name_the_line(bad, message):
+    with pytest.raises(GraphError, match=f"^line 3: {message}$"):
+        read_edge_list(["# header", "0 1", bad])
 
 
 def test_read_edge_list_mixed_weights_defaults_to_one():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from forumnet.graphs import build_graph
-from forumnet.netemd import (DistanceMatrix, OrbitSet,
-                             distance_matrix_from_csv, netemd, netemd_matrix,
-                             pca_netemd_matrix, pca_reconstruct)
+from forumnet.netemd import (OrbitSet, distance_matrix_from_csv,
+                             netemd_matrix, pca_netemd_matrix, pca_reconstruct)
 from forumnet.orbits import count_orbits
 
 
@@ -28,7 +27,7 @@ def test_orbit_set_validation():
 def test_netemd_self_is_zero():
     g = random_graph(15, 0.4, random.Random(0))
     om = count_orbits(g)
-    assert netemd(om, om)["total"] == 0.0
+    assert netemd_matrix([om, om]).values[0, 1] == 0.0
 
 
 def test_netemd_permutation_invariance():
@@ -39,7 +38,7 @@ def test_netemd_permutation_invariance():
         perm = list(range(16))
         rng.shuffle(perm)
         h = build_graph(16, [(perm[u], perm[v]) for u, v in g.edges])
-        assert netemd(om, count_orbits(h))["total"] == 0.0
+        assert netemd_matrix([om, count_orbits(h)]).values[0, 1] == 0.0
 
 
 def test_netemd_matrix_symmetry_and_diagonal():
@@ -78,10 +77,22 @@ def test_distance_matrix_csv_roundtrip():
         distance_matrix_from_csv("not,a,matrix\n")
 
 
+@pytest.mark.parametrize("row_b, message", [
+    ("b,1,zero", "line 4: could not convert string to float: 'zero'"),
+    ("b,2,0", r"line 4: distance matrix must be symmetric with a zero "
+              r"diagonal, got 2\.0 at \(b, a\)"),
+    ("b,1,0.5", r"line 4: .* got 0\.5 at \(b, b\)"),
+])
+def test_distance_csv_errors_name_the_line(row_b, message):
+    text = ",a,b\n\na,0,1\n" + row_b + "\n"
+    with pytest.raises(ValueError, match="^" + message):
+        distance_matrix_from_csv(text)
+
+
 def test_pca_reconstruct_idempotent_at_full_variance():
     rng = random.Random(5)
     mats = [count_orbits(random_graph(30, 0.3, rng)) for _ in range(3)]
-    recon = pca_reconstruct(mats, explained_variance=1.0)
+    recon = pca_reconstruct([m.counts for m in mats], explained_variance=1.0)
     for om, r in zip(mats, recon):
         assert np.allclose(r, np.log1p(om.counts.astype(float)), atol=1e-8)
 
@@ -90,7 +101,7 @@ def test_pca_reconstruct_validation():
     rng = random.Random(6)
     mats = [count_orbits(random_graph(25, 0.3, rng)) for _ in range(2)]
     with pytest.raises(ValueError):
-        pca_reconstruct(mats, explained_variance=0.0)
+        pca_reconstruct([m.counts for m in mats], explained_variance=0.0)
     with pytest.raises(ValueError):
         pca_reconstruct([m.counts[:5] for m in mats])  # 10 rows < 15 columns
 
@@ -124,7 +135,7 @@ def test_pca_netemd_equals_netemd_on_log_features_at_ev_one():
         for j in range(i + 1, 3):
             per = [
                 emd_star(make_distribution(logs[i][:, k]),
-                         make_distribution(logs[j][:, k])).distance
+                         make_distribution(logs[j][:, k]))
                 for k in range(15)
             ]
             assert d.values[i, j] == pytest.approx(float(np.mean(per)), abs=1e-7)

@@ -156,6 +156,22 @@ def test_csv_rejects_garbage():
         orbit_matrix_from_csv("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\nnode,o0,ox\n0,1,2\n", "line 2: bad orbit CSV header 'node,o0,ox'"),
+    ("node,o0,1\n0,1,2\n", "line 1: bad orbit CSV header 'node,o0,1'"),
+    ("node,o0,o0\n0,1,1\n", "line 1: bad orbit CSV header 'node,o0,o0'"),
+    ("node,o0,o15\n0,1,1\n", "line 1: bad orbit CSV header 'node,o0,o15'"),
+    ("node,o0,o1\n0,1,2\n\n1,2,x\n",
+     "line 4: invalid literal for int\\(\\) with base 10: 'x'"),
+    ("node,o0,o1\n0,1,2\n2,2,0\n", "line 3: bad orbit CSV row '2,2,0'"),
+    ("node,o0\n0,1\n1," + "9" * 20 + "\n",
+     "line 3: .+"),  # numpy's overflow message varies by version
+])
+def test_csv_errors_name_the_line(text, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        orbit_matrix_from_csv(text)
+
+
 def test_column_unknown_orbit():
     om = count_orbits(build_graph(2, [(0, 1)]), max_size=2)
     with pytest.raises(KeyError):

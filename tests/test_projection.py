@@ -4,42 +4,47 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from forumnet.graphs import BipartiteGraph, GraphError, WeightedGraph
+from forumnet.graphs import Graph, GraphError
 from forumnet.ingest import PostRecord, WindowSpec, make_windows
-from forumnet.projection import (build_bipartite, project_users,
-                                 sparsify_threshold)
+from forumnet.projection import _incidence, project_pairs, sparsify_pairs
+from oracles import pair_arrays, pair_dict
 
 
-def random_bipartite(rng, users=8, threads=6):
+def random_incidence(rng, users=8, threads=6):
     incidence = {}
     for u in range(users):
         for t in range(threads):
             if rng.random() < 0.4:
                 incidence[(u, t)] = rng.randint(1, 3)
-    return BipartiteGraph(users, threads, incidence)
+    return incidence
 
 
-def incidence_matrix(b):
-    X = np.zeros((b.user_count, b.thread_count))
-    for (u, t), c in b.incidence.items():
+def incidence_matrix(incidence, users=8, threads=6):
+    X = np.zeros((users, threads))
+    for (u, t), c in incidence.items():
         X[u, t] = c
     return X
+
+
+def project(users, incidence, weighted=True):
+    """``project_pairs`` over an incidence dict, as a dict of pair weights."""
+    return pair_dict(*project_pairs(users, *pair_arrays(incidence), weighted))
 
 
 def test_plain_projection_matches_matrix_product():
     rng = random.Random(0)
     for _ in range(100):
-        b = random_bipartite(rng)
-        X = incidence_matrix(b)
+        incidence = random_incidence(rng)
+        X = incidence_matrix(incidence)
         P = X @ X.T
-        g = project_users(b, weighted=False)
-        for u in range(b.user_count):
-            for v in range(u + 1, b.user_count):
-                got = g.weights.get((u, v), 0.0)
+        weights = project(8, incidence, weighted=False)
+        for u in range(8):
+            for v in range(u + 1, 8):
+                got = weights.get((u, v), 0.0)
                 # single-user threads are excluded from the projection
                 solo = sum(
                     X[u, t] * X[v, t]
-                    for t in range(b.thread_count)
+                    for t in range(6)
                     if np.count_nonzero(X[:, t]) < 2
                 )
                 assert got == pytest.approx(P[u, v] - solo)
@@ -48,20 +53,16 @@ def test_plain_projection_matches_matrix_product():
 def test_weighted_projection_hand_case():
     # one thread, three posts: two by user 0 and one by user 1
     # -> weight = (2 * 1) / ((2 - 1) * 3) = 2/3
-    b = BipartiteGraph(2, 1, {(0, 0): 2, (1, 0): 1})
-    g = project_users(b)
-    assert g.weights == {(0, 1): pytest.approx(2 / 3)}
+    assert project(2, {(0, 0): 2, (1, 0): 1}) == {(0, 1): pytest.approx(2 / 3)}
 
 
 def test_weighted_projection_accumulates_threads():
-    b = BipartiteGraph(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
-    g = project_users(b)
-    assert g.weights[(0, 1)] == pytest.approx(0.5 + 0.5)
+    weights = project(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    assert weights[(0, 1)] == pytest.approx(0.5 + 0.5)
 
 
 def test_single_user_threads_contribute_nothing():
-    b = BipartiteGraph(2, 1, {(0, 0): 5})
-    assert project_users(b).weights == {}
+    assert project(2, {(0, 0): 5}) == {}
 
 
 def test_sparsify_threshold_closed_form():
@@ -75,34 +76,34 @@ def test_sparsify_threshold_closed_form():
                     weights[(u, v)] = rng.uniform(0.01, 1.0)
         if not weights:
             continue
-        g = WeightedGraph(n, weights)
-        res = sparsify_threshold(g)
+        threshold, active, a, b, kept = sparsify_pairs(n, *pair_arrays(weights))
         # threshold equals min over active nodes of their max incident weight
         max_w = {}
         for (u, v), w in weights.items():
             max_w[u] = max(max_w.get(u, 0.0), w)
             max_w[v] = max(max_w.get(v, 0.0), w)
-        assert res.threshold == min(max_w.values())
+        assert threshold == min(max_w.values())
         # nobody isolated at the threshold
-        deg = res.sparsified.degrees()
-        assert all(d > 0 for d in deg)
+        sparsified = Graph(active.size, frozenset(zip(a[kept].tolist(),
+                                                      b[kept].tolist())))
+        assert all(d > 0 for d in sparsified.degrees())
         # any higher cutoff isolates at least one node
-        higher = res.threshold + 1e-12
-        kept = [p for p, w in res.weighted.weights.items() if w >= higher]
-        touched = {x for p in kept for x in p}
-        assert len(touched) < res.sparsified.node_count
+        higher = threshold + 1e-12
+        above = [p for p, w in zip(zip(a.tolist(), b.tolist()), weights.values())
+                 if w >= higher]
+        touched = {x for p in above for x in p}
+        assert len(touched) < sparsified.node_count
 
 
 def test_sparsify_drops_edgeless_users():
-    g = WeightedGraph(4, {(1, 3): 0.5})
-    res = sparsify_threshold(g)
-    assert res.sparsified.node_count == 2
-    assert res.user_index == (1, 3)
+    _, active, a, b, kept = sparsify_pairs(4, *pair_arrays({(1, 3): 0.5}))
+    assert active.tolist() == [1, 3]
+    assert (a.tolist(), b.tolist(), kept.tolist()) == ([0], [1], [True])
 
 
 def test_sparsify_rejects_empty():
     with pytest.raises(GraphError):
-        sparsify_threshold(WeightedGraph(3, {}))
+        sparsify_pairs(3, *pair_arrays({}))
 
 
 def test_build_bipartite_from_window():
@@ -113,7 +114,8 @@ def test_build_bipartite_from_window():
     ]
     w = make_windows(posts, WindowSpec.from_tokens(
         "2020-01-01", "2020-02-01", "1m", "1m"))[0]
-    b, users, threads = build_bipartite(w)
-    assert users == ["ann", "bob"]
-    assert threads == ["t1"]
-    assert b.incidence == {(0, 0): 2, (1, 0): 1}
+    users, user, thread, count = _incidence(w)
+    assert [w.table.user_ids[i] for i in users] == ["ann", "bob"]
+    # entries in order of first post: bob's original, then ann's replies
+    assert list(zip(user.tolist(), thread.tolist(), count.tolist())) == [
+        (1, 0, 1), (0, 0, 2)]

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumnet.ingest import PostRecord, WindowSpec, make_windows
+from forumnet.ingest import SENTIMENTS, PostRecord, WindowSpec, make_windows
 from forumnet.sentiment import (SENTIMENT_COMBOS, DiscordanceParams,
-                                SentimentSummary, discordance_thread,
+                                SentimentSummary, discordance_scores,
                                 discordance_window_avg,
                                 flag_sentiment_changes, infer_discordance,
                                 infer_post_sentiment, inferred_ratio_zscores,
-                                labeled_threads, mixing_matrix,
+                                label_mixing, labeled_threads,
                                 sentiment_metrics,
                                 summaries_to_csv, zscore_series,
                                 zscore_values)
-from oracles import cohen_kappa
+from oracles import coded, cohen_kappa
 
 POS, NEU, NEG = "positive", "neutral", "negative"
 
@@ -115,24 +115,24 @@ def test_zscore_series_needs_two():
 
 
 def test_discordance_hand_values():
-    assert discordance_thread([POS, POS, POS, POS]) == 0.0
-    assert discordance_thread([POS]) == 0.0
-    assert discordance_thread([]) == 0.0
-    # opposite pair: one window of size 2 at the attainable maximum
-    assert discordance_thread([POS, NEG]) == 1.0
-    assert discordance_thread([POS, NEU]) == 0.5
-    # n=3: D=2 gives (0+2)/(2*2)=0.5, D=3 gives 4/4=1.0
-    assert discordance_thread([POS, POS, NEG]) == pytest.approx(0.75)
+    assert discordance_scores(coded([
+        [POS, POS, POS, POS], [POS], [],
+        # opposite pair: one window of size 2 at the attainable maximum
+        [POS, NEG], [POS, NEU],
+        # n=3: D=2 gives (0+2)/(2*2)=0.5, D=3 gives 4/4=1.0
+        [POS, POS, NEG],
+    ])) == [0.0, 0.0, 0.0, 1.0, 0.5, pytest.approx(0.75)]
 
 
 def test_discordance_bounds_and_alternating_max():
     rng = random.Random(0)
-    for _ in range(500):
-        seq = [rng.choice((POS, NEU, NEG)) for _ in range(rng.randint(2, 12))]
-        val = discordance_thread(seq)
-        assert 0.0 <= val <= 1.0
+    scores = discordance_scores(coded(
+        [rng.choice((POS, NEU, NEG)) for _ in range(rng.randint(2, 12))]
+        for _ in range(500)))
+    assert len(scores) == 500
+    assert all(0.0 <= val <= 1.0 for val in scores)
     # perfectly alternating opposite sentiments achieve the maximum
-    assert discordance_thread([POS, NEG] * 4) == 1.0
+    assert discordance_scores(coded([[POS, NEG] * 4])) == [1.0]
 
 
 _params = st.integers(2, 8).flatmap(
@@ -142,15 +142,16 @@ _params = st.integers(2, 8).flatmap(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from((POS, NEU, NEG)), max_size=40), _params)
 def test_discordance_closed_form_matches_pair_oracle(seq, params):
-    assert discordance_thread(seq, params) == discordance_by_pairs(seq, params)
+    assert discordance_scores(coded([seq]), params) == [
+        discordance_by_pairs(seq, params)]
 
 
 def test_discordance_thread_shorter_than_min_window():
     params = DiscordanceParams(min_window=3, max_window=5)
-    assert discordance_thread([POS, NEG], params) == 0.0
-    assert discordance_thread([POS, NEG, POS], params) == 1.0
+    assert discordance_scores(coded([[POS, NEG], [POS, NEG, POS]]),
+                              params) == [0.0, 1.0]
     with pytest.raises(ValueError):
-        discordance_thread([POS, "angry"])
+        discordance_scores(coded([[POS, "angry"]]))
 
 
 def test_discordance_params_validation():
@@ -194,17 +195,23 @@ def posts_for(props, total=1000):
     return [POS] * counts[0] + [NEU] * counts[1] + [NEG] * counts[2]
 
 
+def mixing(samples):
+    """``label_mixing`` of (thread sentiment, post sentiments) samples."""
+    classes = np.array([SENTIMENTS.index(t) for t, _ in samples])
+    return label_mixing(classes, coded(posts for _, posts in samples))
+
+
 def test_mixing_matrix_recovers_proportions():
     samples = [
         (POS, posts_for(TABLE[:, 0])),
         (NEU, posts_for(TABLE[:, 1])),
         (NEG, posts_for(TABLE[:, 2])),
     ]
-    m = mixing_matrix(samples)
+    m = mixing(samples)
     assert np.allclose(m, TABLE, atol=1e-12)
     assert np.allclose(m.sum(axis=0), 1.0)
     # macro average across threads of a class, not post-weighted
-    two = mixing_matrix([
+    two = mixing([
         (POS, [POS]), (POS, [NEG] * 9),
         (NEU, [NEU]), (NEG, [NEG]),
     ])
@@ -214,9 +221,9 @@ def test_mixing_matrix_recovers_proportions():
 
 def test_mixing_matrix_validation():
     with pytest.raises(ValueError):
-        mixing_matrix([(POS, [POS]), (NEU, [NEU])])  # no negative sample
+        mixing([(POS, [POS]), (NEU, [NEU])])  # no negative sample
     with pytest.raises(ValueError):
-        mixing_matrix([("angry", [POS])])
+        mixing([("angry", [POS])])
 
 
 def test_infer_post_sentiment_all_neutral():

@@ -17,8 +17,8 @@ from forumnet.graphs import GraphError, write_edge_list
 from forumnet.ingest import (LABEL_CODES, IngestError, PostRecord, WindowSpec,
                              make_windows, post_table)
 from forumnet.pipeline import inference_artifacts, windows_table
-from forumnet.projection import (build_bipartite, project_users,
-                                 project_window, sparsify_threshold)
+from forumnet.projection import (_incidence, project_pairs, project_window,
+                                 sparsify_pairs)
 from forumnet.sentiment import (DiscordanceParams, discordance_window_avg,
                                 label_mixing, labeled_threads,
                                 sentiment_metrics)
@@ -80,41 +80,37 @@ def test_table_facts_and_windows_match_oracle(spec):
         o.sentiment_metrics(w) for w in old]
 
 
-def _oracle_network(w, weighted):
-    try:
-        res = o.sparsify_threshold(o.project_users(o.build_bipartite(w)[0],
-                                                   weighted))
-    except GraphError:
-        return None
-    return res
-
-
 # many threads in few windows: pairs meet in several threads, so a change
 # in the order thread terms are summed in moves some weight by an ulp
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(threads(most=24, days=45), st.booleans())
 def test_networks_match_oracle(spec, weighted):
     for w, ow in zip(*both_windows(records(spec))):
-        b, users, thread_ids = build_bipartite(w)
-        ob, ousers, othreads = o.build_bipartite(ow)
-        # dict order decides the order threads contribute in
-        assert list(b.incidence.items()) == list(ob.incidence.items())
-        assert (b.user_count, b.thread_count, users, thread_ids) == (
-            ob.user_count, ob.thread_count, ousers, othreads)
-        g = project_users(b, weighted)
-        assert g.weights == o.project_users(ob, weighted).weights
-        expected = _oracle_network(ow, weighted)
-        if expected is None:
+        users, user, thread, count = _incidence(w)
+        incidence, ousers, _ = o.build_bipartite(ow)
+        # entry order decides the order threads contribute in; thread
+        # positions follow the codes, which follow the sorted ids
+        assert list(zip(zip(user.tolist(), thread.tolist()),
+                        count.tolist())) == list(incidence.items())
+        assert [w.table.user_ids[i] for i in users] == ousers
+        a, b, weights = project_pairs(users.size, user, thread, count, weighted)
+        expected_weights = o.project_users(incidence, weighted)
+        assert o.pair_dict(a, b, weights) == expected_weights
+        try:
+            expected = o.sparsify_threshold(expected_weights)
+        except GraphError:
             with pytest.raises(GraphError):
                 project_window(w, weighted)
             with pytest.raises(GraphError):
-                sparsify_threshold(g)
+                sparsify_pairs(users.size, a, b, weights)
             continue
         graph, threshold = project_window(w, weighted)
-        assert write_edge_list(graph) == write_edge_list(expected.sparsified)
-        assert graph.node_count == expected.sparsified.node_count
-        assert threshold == expected.threshold
-        assert sparsify_threshold(g) == expected
+        assert write_edge_list(graph) == write_edge_list(expected["sparsified"])
+        assert graph.node_count == expected["sparsified"].node_count
+        assert threshold == expected["threshold"]
+        threshold, active, a, b, _ = sparsify_pairs(users.size, a, b, weights)
+        assert tuple(active.tolist()) == expected["user_index"]
+        assert o.pair_dict(a, b, weights) == expected["weights"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
