@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .changes import flag_changes, flags_to_json
 from .graphs import GraphError, build_graph, read_edge_list, write_edge_list
-from .ingest import (IngestError, WindowSpec, make_windows, post_table,
-                     write_posts_csv)
+from .ingest import IngestError, WindowSpec, make_windows, write_posts_csv
 from .netemd import distance_matrix_from_csv
 from .orbits import count_orbits, orbit_matrix_from_csv
 from .pipeline import (PipelineConfig, PipelineError, compare_orbit_matrices,
@@ -73,9 +72,7 @@ def cmd_synth(args):
 
 
 def cmd_ingest(args):
-    posts = read_posts(args.input, args.format)
-    log.info("parsed %d posts", len(posts))
-    _write_posts(posts, args.out)
+    _write_posts(read_posts(args.input, args.format).records(), args.out)
 
 
 def cmd_windows(args):
@@ -132,7 +129,7 @@ def cmd_discordance(args):
 
 def cmd_infer(args):
     # ingest, windows, sentiment summaries and inference; no structural stage
-    table = post_table(read_posts(args.input, args.format))
+    table = read_posts(args.input, args.format)
     summaries = [sentiment_metrics(w) for w in _load_windows(args, table)]
     _write_dir(args.outdir, inference_artifacts(table, summaries,
                                                 DiscordanceParams()))

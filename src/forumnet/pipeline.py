@@ -15,8 +15,8 @@ import scipy
 from . import __version__
 from .changes import flag_changes, flags_to_json
 from .graphs import GraphError, write_edge_list
-from .ingest import (SENTIMENTS, IngestError, PostRecord, PostTable, WindowSpec,
-                     make_windows, parse_posts, post_table, window_stats)
+from .ingest import (SENTIMENTS, IngestError, PostTable, WindowSpec,
+                     make_windows, parse_posts, window_stats)
 from .netemd import DistanceMatrix, OrbitSet, netemd_matrix, pca_netemd_matrix
 from .orbits import ORBITS_BY_SIZE, count_orbits
 from .projection import project_window
@@ -126,7 +126,7 @@ def _write(path: Path, text: str):
 
 # --- stage functions, shared by run_pipeline and the CLI ---
 
-def read_posts(path: str, fmt: str) -> list[PostRecord]:
+def read_posts(path: str, fmt: str) -> PostTable:
     with open(path, newline="") as fh:
         return parse_posts(fh, fmt)
 
@@ -236,7 +236,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     stage("ingest")
     try:
-        table = post_table(read_posts(config.input_path, config.input_format))
+        table = read_posts(config.input_path, config.input_format)
     except (OSError, IngestError) as exc:
         raise PipelineError("ingest", exc) from exc
     if not len(table):

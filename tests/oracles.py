@@ -12,8 +12,9 @@ integer-coded ``PostTable`` path replaced; ``test_table.py`` asserts exact
 equality against them.  Graphs here are ``Graph``s or plain dicts: an
 incidence maps (user, thread) to a post count and weights map (u, v) to a
 weight.  ``coded`` turns sentiment-name sequences into the groups that the
-sentiment kernels take.  The graph helpers at the end have no caller in
-the package.
+sentiment kernels take.  ``parsed_records`` reads what ``parse_posts``
+validated before its originals check.  The graph helpers at the end have no
+caller in the package.
 """
 
 import itertools
@@ -27,13 +28,21 @@ import numpy as np
 
 from forumnet.graphs import (Graph, GraphError, _check_pair, adjacency_mask,
                              build_graph)
-from forumnet.ingest import (SENTIMENTS, IngestError, PostRecord, WindowSpec,
-                             add_months, window_starts)
+from forumnet.ingest import (SENTIMENTS, IngestError, PostRecord, PostTable,
+                             WindowSpec, _parse, add_months, window_starts)
 from forumnet.report import discordance_csv, series_csv
 from forumnet.sentiment import (SENTIMENT_COMBOS, DiscordanceParams,
                                 LabeledThreads, SentimentSummary,
                                 infer_discordance, infer_post_sentiment,
                                 inferred_ratio_zscores)
+
+
+def parsed_records(stream, fmt: str = "csv") -> list[PostRecord]:
+    """The posts ``parse_posts`` validates from ``stream``, as records in
+    (timestamp, post_id) order, before it checks each thread's originals."""
+    columns = _parse(stream, fmt)[0].columns()
+    return list(PostTable(*columns, thread_label=None,
+                          thread_creation=None).records())
 
 
 def canonical_small(g: Graph) -> tuple[int, int]:

@@ -260,7 +260,7 @@ def test_criterion_7_mixing_matrix_roundtrip(acceptance):
     )
     acceptance(7, "mixing-matrix round-trip + neutral inference",
                round_ok and infer_ok,
-               f"inferred {tuple(round(x, 4) for x in inferred)}")
+               f"inferred {tuple(round(float(x), 4) for x in inferred)}")
 
 
 # ---------------------------------------------------------------- criterion 8

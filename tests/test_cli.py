@@ -190,6 +190,11 @@ def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
                     + "x" * 200_000 + '"\n')
     assert main(["ingest", "--input", str(huge)]) == 1
     assert "error: line 3: field larger than field limit" in capsys.readouterr().err
+    orphan = tmp_path / "orphan.csv"  # a reply whose thread has no original
+    orphan.write_text("".join(lines) + "x1,x1,u,2020-01-02 10:00:00,false,\n")
+    assert main(["ingest", "--input", str(orphan)]) == 1
+    assert ("error: thread x1: expected exactly 1 original post, found 0"
+            in capsys.readouterr().err)
     dist = tmp_path / "dist.csv"
     dist.write_text(",a,b,c\na,0,1,2\nb,1,0,4\nc,2,4,0\n")
     for jumps in (["0"], ["1", "-1"]):

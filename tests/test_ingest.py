@@ -1,15 +1,22 @@
 import io
 import json
+import logging
+import re
 from datetime import date, datetime
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forumnet import ingest
 from forumnet.ingest import (LABEL_CODES, IngestError, PostRecord, WindowSpec,
                              add_months, make_windows, parse_duration,
                              parse_posts, post_table, window_starts,
                              window_stats, write_posts_csv)
-from oracles import epoch_seconds
+from forumnet.synth import RegimeScript, Segment, generate_forum
+from oracles import epoch_seconds, parsed_records
 
 CSV = """post_id,thread_id,user_id,timestamp,is_original,sentiment
 p1,t1,alice,2020-01-01T10:00:00,true,positive
@@ -18,8 +25,12 @@ p3,t2,alice,2020-02-03T09:00:00Z,true,negative
 """
 
 
+def records(text: str, fmt: str = "csv") -> list[PostRecord]:
+    return list(parse_posts(io.StringIO(text), fmt).records())
+
+
 def test_parse_csv():
-    posts = parse_posts(io.StringIO(CSV))
+    posts = records(CSV)
     assert [p.post_id for p in posts] == ["p1", "p2", "p3"]
     assert posts[0].sentiment == "positive"
     assert posts[1].sentiment is None
@@ -27,11 +38,9 @@ def test_parse_csv():
 
 
 def test_parse_jsonl():
-    lines = io.StringIO(
-        '{"post_id": "a", "thread_id": "t", "user_id": "u", '
-        '"timestamp": "2021-05-01T00:00:01", "is_original": true}\n\n'
-    )
-    posts = parse_posts(lines, "jsonl")
+    posts = records('{"post_id": "a", "thread_id": "t", "user_id": "u", '
+                    '"timestamp": "2021-05-01T00:00:01", "is_original": true}\n\n',
+                    "jsonl")
     assert len(posts) == 1 and posts[0].is_original
 
 
@@ -48,6 +57,12 @@ def test_parse_rejects_bad_rows():
         parse_posts(io.StringIO("{}"), "jsonl")
     with pytest.raises(IngestError):
         parse_posts(io.StringIO(""), "xml")
+    with pytest.raises(IngestError, match=r"^thread t1: expected exactly 1 "
+                                          r"original post, found 2$"):
+        parse_posts(io.StringIO(CSV.replace("false", "true")))
+    with pytest.raises(IngestError, match=r"^line 2: timestamp "
+                                          r"'9999-12-31T23:00:00-05:00' out of range$"):
+        parse_posts(io.StringIO(HEADER + "p1,t1,u,9999-12-31T23:00:00-05:00,true,\n"))
 
 
 def test_parse_rejects_duplicate_post_ids():
@@ -67,15 +82,14 @@ def test_parse_rejects_jsonl_non_objects():
 
 
 def test_posts_csv_roundtrip():
-    posts = parse_posts(io.StringIO(CSV))
+    posts = records(CSV)
     buf = io.StringIO()
     write_posts_csv(posts, buf)
-    again = parse_posts(io.StringIO(buf.getvalue()))
-    assert again == posts
+    assert records(buf.getvalue()) == posts
 
 
 def test_derive_threads():
-    table = post_table(parse_posts(io.StringIO(CSV)))
+    table = parse_posts(io.StringIO(CSV))
     assert table.thread_ids == ["t1", "t2"]
     assert table.user_ids == ["alice", "bob"]
     assert np.bincount(table.thread).tolist() == [2, 1]
@@ -177,7 +191,7 @@ def test_csv_reader_errors_are_ingest_errors():
 def test_csv_repeated_column_last_one_wins():
     text = ("post_id,thread_id,user_id,timestamp,is_original,user_id\n"
             "p1,t1,first,2020-01-01T10:00:00,true,last\n")
-    assert parse_posts(io.StringIO(text))[0].user_id == "last"
+    assert records(text)[0].user_id == "last"
     # a row too short to reach the last copy leaves the field missing
     text = ("user_id,post_id,thread_id,timestamp,is_original,user_id\n"
             "first,p1,t1,2020-01-01T10:00:00,true\n")
@@ -195,12 +209,12 @@ def test_csv_missing_column_and_short_row():
                                           r"\['timestamp', 'is_original'\]"):
         parse_posts(io.StringIO(HEADER + ROW + "p2,t1,bob\n"))
     # a short row may still omit the optional sentiment
-    posts = parse_posts(io.StringIO(HEADER + "p1,t1,ann,2020-01-01,true\n"))
+    posts = records(HEADER + "p1,t1,ann,2020-01-01,true\n")
     assert posts[0].sentiment is None
 
 
 def test_csv_extra_cells_are_ignored():
-    posts = parse_posts(io.StringIO(HEADER + ROW.rstrip("\n") + ",x,,maybe\n"))
+    posts = records(HEADER + ROW.rstrip("\n") + ",x,,maybe\n")
     assert posts == [PostRecord(datetime(2020, 1, 1, 10), "p1", "t1", "ann",
                                 True, "positive")]
 
@@ -209,7 +223,8 @@ def test_jsonl_value_types():
     def parse(**fields):
         row = {"post_id": "a", "thread_id": "t", "user_id": "u",
                "timestamp": "2021-05-01T00:00:01", **fields}
-        return parse_posts(io.StringIO(json.dumps(row) + "\n"), "jsonl")
+        # before the originals check, which is_original=0 would fail
+        return parsed_records(io.StringIO(json.dumps(row) + "\n"), "jsonl")
 
     assert parse(is_original=True)[0].is_original is True
     assert parse(is_original=0)[0].is_original is False
@@ -225,7 +240,7 @@ def test_timestamps_normalise_to_naive_utc_seconds():
               "2020-02-03T09:00:00.999999", "2020-02-03 09:00:00"]
     text = HEADER + "".join(f"p{i},t{i},u,{ts},true,\n"
                             for i, ts in enumerate(stamps))
-    posts = parse_posts(io.StringIO(text))
+    posts = records(text)
     assert {p.timestamp for p in posts} == {datetime(2020, 2, 3, 9)}
     assert [p.post_id for p in posts] == ["p0", "p1", "p2", "p3"]
 
@@ -248,3 +263,71 @@ def test_reply_before_original_is_accepted():
     # the January reply is in January's window; the thread is February's
     assert (jan.rows, feb.rows) == (slice(0, 1), slice(1, 2))
     assert jan.table.thread_label[jan.table.thread[0]] == LABEL_CODES["positive"]
+
+
+def test_only_non_canonical_rows_reach_the_validators(caplog):
+    script = RegimeScript((Segment(
+        duration_days=20, user_pool=30, threads_per_day=3.0, posts_per_day=40.0,
+        thread_zipf=0.5, user_zipf=0.0, thread_sentiment=(0.3, 0.5, 0.2),
+        mixing=((0.6, 0.3, 0.1),) * 3),), seed=5)
+    buf = io.StringIO()
+    write_posts_csv(generate_forum(script), buf)
+    header, *rows = buf.getvalue().splitlines(keepends=True)
+    expected = records(buf.getvalue())
+    # values the validators normalise to the canonical ones
+    edits = [lambda f: f[3] + "Z", lambda f: f[4].capitalize(),
+             lambda f: f" {f[5]} "]
+    for k in (0, 1, 3, 10):
+        edited = list(rows)
+        for n, i in enumerate(range(0, 37 * k, 37)):
+            fields = edited[i].rstrip("\n").split(",")
+            fields[3 + n % 3] = edits[n % 3](fields)
+            edited[i] = ",".join(fields) + "\n"
+        with mock.patch.object(ingest, "_record", wraps=ingest._record) as spy, \
+                caplog.at_level(logging.INFO, logger="forumnet.ingest"):
+            caplog.clear()
+            assert records(header + "".join(edited)) == expected
+        assert spy.call_count == k
+        assert caplog.messages == [f"ingest: {len(expected)} posts, {k} rows "
+                                   "through the per-row validators"]
+
+
+STAMP = re.compile(r"\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}:\d{2}", re.ASCII)
+
+
+@st.composite
+def stamps(draw):
+    """Timestamps near the canonical form, some of them one edit away."""
+    text = "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}".format(
+        draw(st.sampled_from([0, 1, 4, 100, 1900, 1970, 2000, 2019, 2020,
+                              2100, 2400, 9999])),
+        draw(st.integers(0, 13)), draw(st.integers(0, 32)),
+        draw(st.sampled_from(" T")), draw(st.integers(0, 25)),
+        draw(st.integers(0, 61)), draw(st.integers(0, 61)))
+    edit = draw(st.sampled_from(["none"] * 4 + ["swap", "drop", "add"]))
+    at = draw(st.integers(0, 18))
+    char = draw(st.sampled_from("0 9T:-/Xt\uff10\u00e9"))
+    if edit == "swap":
+        text = text[:at] + char + text[at + 1:]
+    elif edit == "drop":
+        text = text[:at] + text[at + 1:]
+    elif edit == "add":
+        text = text[:at] + char + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(stamps(), st.sampled_from([None, 20200101, ["0"] * 19])),
+                min_size=1, max_size=40))
+def test_canonical_timestamps_match_fromisoformat(values):
+    # canonical: the ASCII pattern, naming a second fromisoformat accepts
+    seconds, canonical = ingest._stamp_seconds(values)
+    for value, second, ok in zip(values, seconds.tolist(), canonical.tolist()):
+        try:
+            ts = (datetime.fromisoformat(value)
+                  if type(value) is str and STAMP.fullmatch(value) else None)
+        except ValueError:
+            ts = None
+        assert ok == (ts is not None), value
+        if ok:
+            assert second == epoch_seconds(ts), value

@@ -2,19 +2,24 @@
 
 The oracle is the DictReader-based parser: one field mapping per record,
 validated field by field through the ingest validators.  Its one change
-is that it numbers CSV records by their first physical line.
+is that it numbers CSV records by their first physical line.  The posts
+are compared before parse_posts checks each thread's originals, which
+most of these small random files would fail.
 """
 
 import csv
 import io
 import json
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumnet import ingest
 from forumnet.ingest import (FIELDS, REQUIRED_FIELDS, IngestError, PostRecord,
-                             _parse_bool, _parse_sentiment, _parse_timestamp,
-                             parse_posts)
+                             _parse_bool, _parse_sentiment, _parse_timestamp)
+from oracles import parsed_records
 
 
 def oracle_record(row: dict, where: str) -> PostRecord:
@@ -98,6 +103,14 @@ POOLS = {
         "2020-02-03", "2020-02-03T09", "2020-02-03T09:00", "20200203T090000",
         "2020-02-03T09:00:00z", " 2020-02-03T09:00:00", "2020-02-03T09:00:00 ",
         "Z2020-02-03", "notadate", "",
+        # 19 characters each: the edges of the canonical form
+        "2020-02-29 10:00:00", "2019-02-29 10:00:00", "2000-02-29T00:00:00",
+        "1900-02-29T00:00:00", "2020-04-31T00:00:00", "2020-13-01T00:00:00",
+        "2020-00-10T00:00:00", "2020-01-00T00:00:00", "0000-01-01T00:00:00",
+        "0001-01-01T00:00:00", "9999-12-31T23:59:59", "2020-01-01T24:00:00",
+        "2020-01-01T10:60:00", "2020-01-01T10:00:60", "2020-01-01X10:00:00",
+        "2020-01-01t10:00:00", "2020/01/01T10:00:00", "\uff12020-01-01T10:00:00",
+        "0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00",
     ],
     "is_original": ["true", "false", "TRUE", "False", " true ", "1", "0",
                     "yes", "no", "maybe", ""],
@@ -165,16 +178,95 @@ def jsonl_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# distinct ids whose code-point order differs from their numeric order
+POST_IDS = ["p1", "p2", "p10", "p9", "P3", "a", "B", "\u00e9", "p1 ", "0"]
+TIES = ["2020-01-01T10:00:00", "2020-01-01 10:00:00", "2020-01-01T09:00:00Z",
+        "2020-01-01T11:00:00+01:00", "2020-01-01T10:00:00.5"]
+
+
+@st.composite
+def valid_csv_texts(draw):
+    """Posts that are all valid but for some timestamps: each its own
+    thread's original, with shared and normalised times, so that most
+    files parse and their order and times are compared."""
+    ids = draw(st.lists(st.sampled_from(POST_IDS), max_size=8, unique=True))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FIELDS)
+    for post_id in ids:
+        stamp = draw(st.one_of(st.sampled_from(TIES),
+                               st.sampled_from(POOLS["timestamp"][19:])))
+        flag = draw(st.sampled_from(["true", "true", "TRUE", "1"]))
+        label = draw(st.sampled_from(["", "positive", "negative", " Neutral"]))
+        writer.writerow([post_id, "t" + post_id, "u", stamp, flag, label])
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(valid_csv_texts())
+def test_valid_csv_matches_oracle(text):
+    assert outcome(parsed_records, text, "csv") == outcome(oracle_parse, text, "csv")
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(csv_texts())
 def test_parse_csv_matches_oracle(text):
-    assert outcome(parse_posts, text, "csv") == outcome(oracle_parse, text, "csv")
+    assert outcome(parsed_records, text, "csv") == outcome(oracle_parse, text, "csv")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(jsonl_texts())
 def test_parse_jsonl_matches_oracle(text):
-    assert outcome(parse_posts, text, "jsonl") == outcome(oracle_parse, text, "jsonl")
+    assert (outcome(parsed_records, text, "jsonl")
+            == outcome(oracle_parse, text, "jsonl"))
+
+
+def chunked_outcomes(text: str, fmt: str) -> list:
+    """The outcome at the default chunk size, then at 1, 2 and 3 rows."""
+    results = [outcome(parsed_records, text, fmt)]
+    for rows in (1, 2, 3):
+        with mock.patch.object(ingest, "CHUNK_ROWS", rows):
+            results.append(outcome(parsed_records, text, fmt))
+    return results
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(csv_texts().map(lambda text: (text, "csv")),
+                 valid_csv_texts().map(lambda text: (text, "csv")),
+                 jsonl_texts().map(lambda text: (text, "jsonl"))))
+def test_chunk_size_does_not_change_the_outcome(case):
+    first, *chunked = chunked_outcomes(*case)
+    assert chunked == [first] * 3
+
+
+HEADER = "post_id,thread_id,user_id,timestamp,is_original,sentiment\n"
+
+
+@pytest.mark.parametrize("rows, error", [
+    # the first occurrence is chunks before the second at sizes 1 and 2
+    (["p1,t1,a,2020-01-01 10:00:00,true,", "p2,t1,b,2020-01-01 11:00:00,false,",
+      "p3,t2,a,2020-01-02 10:00:00,true,", "p1,t2,c,2020-01-03 10:00:00,false,",
+      "p4,t2,c,2020-01-04 10:00:00,maybe,"],
+     "line 5: duplicate post_id 'p1'"),
+    # a bad value before the duplicate wins, also when it is routed
+    (["p1,t1,a,2020-01-01 10:00:00,true,", "p2,t1,b,2020-01-01 11:00:00,maybe,",
+      "p1,t2,c,2020-01-03 10:00:00,false,"],
+     "line 3: invalid boolean 'maybe'"),
+    # a routed, valid row's normalised id takes part in the duplicate check
+    (["p1,t1,a,2020-01-01 10:00:00Z,true,", "p2,t1,b,2020-01-01 11:00:00,True,",
+      "p2,t2,c,2020-01-03 10:00:00,false,", "p5,t2,c,2020-01-03 10:00:00,false,happy"],
+     "line 4: duplicate post_id 'p2'"),
+    # a reader error comes after every earlier row is checked
+    (["p1,t1,a,2020-01-01 10:00:00,true,", "p1,t1,a,2020-01-01 10:00:00,true,",
+      'p3,t1,a,2020-01-01 10:00:00,true,"' + "x" * 200_000 + '"'],
+     "line 3: duplicate post_id 'p1'"),
+    (["p1,t1,a,2020-01-01 10:00:00,true,", "p2,t1,a,2020-01-01 10:00:00,false,",
+      'p3,t1,a,2020-01-01 10:00:00,true,"' + "x" * 200_000 + '"'],
+     "line 4: field larger than field limit (131072)"),
+])
+def test_chunked_errors_keep_file_order(rows, error):
+    text = HEADER + "\n".join(rows) + "\n"
+    assert chunked_outcomes(text, "csv") == [(IngestError, error)] * 4
 
 
 def test_oracle_counts_physical_lines():
