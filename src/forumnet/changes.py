@@ -31,13 +31,15 @@ def flag_changes(d: DistanceMatrix, jumps=(1, 2)) -> list[ChangeFlag]:
 
     Strict inequality: ties with the median are not flagged.  A k>=2 flag
     starting at index i is suppressed when a consecutive (k=1) flag also
-    starts at i.  Raises ValueError for a jump below 1.
+    starts at i.  Raises ValueError for a jump below 1 or a repeated jump.
     """
     n = d.size
     if n < 3:
         raise ValueError("need at least 3 windows to flag changes")
     if any(k < 1 for k in jumps):
         raise ValueError(f"jumps must be positive integers, got {list(jumps)}")
+    if len(set(jumps)) < len(jumps):
+        raise ValueError(f"jumps must be distinct, got {list(jumps)}")
     med = upper_triangle_median(d)
     flags = []
     for k in sorted(jumps):

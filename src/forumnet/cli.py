@@ -23,7 +23,7 @@ from .pipeline import (PipelineConfig, PipelineError, compare_orbit_matrices,
                        discordance_table, inference_artifacts, read_posts,
                        run_pipeline, sentiment_artifacts, windows_table)
 from .projection import project_window
-from .report import HeatmapOptions, render_heatmap
+from .report import render_heatmap
 from .sentiment import DiscordanceParams, sentiment_metrics
 from .synth import RegimeScript, ScriptError, generate_forum
 
@@ -93,8 +93,7 @@ def cmd_project(args):
 
 
 def cmd_orbits(args):
-    n, edges = read_edge_list(Path(args.edges).read_text().splitlines())
-    g = build_graph(n, [(u, v) for u, v, *_ in edges])
+    g = build_graph(*read_edge_list(Path(args.edges).read_text().splitlines()))
     om = count_orbits(g, args.max_size)
     _write_out(om.to_csv(), args.out)
 
@@ -138,7 +137,7 @@ def cmd_infer(args):
 
 def cmd_report(args):
     d = distance_matrix_from_csv(Path(args.distances).read_text())
-    svg = render_heatmap(d, HeatmapOptions(label_every=args.label_every))
+    svg = render_heatmap(d, args.label_every)
     _write_out(svg, args.out)
 
 

@@ -71,11 +71,10 @@ def adjacency_mask(node_count: int, edges) -> int:
 def read_edge_list(lines):
     """Parse the `u v [w]` edge-list text format (0-based, `#` comments).
 
-    Returns (node_count, edges) where edges are (u, v) pairs or (u, v, w)
-    triples when any line carries a weight.
+    Returns (node_count, edges) with edges as (u, v) pairs.  A weight w
+    must be a number but is not read: graphs are unweighted.
     """
     edges = []
-    weighted = False
     max_node = -1
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -90,16 +89,12 @@ def read_edge_list(lines):
                              f"integers, got {raw!r}")
         max_node = max(max_node, u, v)
         if len(parts) == 3:
-            weighted = True
             try:
-                edges.append((u, v, float(parts[2])))
+                float(parts[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: weight must be a number, "
                                  f"got {parts[2]!r}") from None
-        else:
-            edges.append((u, v))
-    if weighted:
-        edges = [e if len(e) == 3 else (e[0], e[1], 1.0) for e in edges]
+        edges.append((u, v))
     return max_node + 1, edges
 
 

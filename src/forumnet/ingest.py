@@ -82,37 +82,18 @@ def _parse_sentiment(raw, where: str) -> str | None:
 REQUIRED_FIELDS = ("post_id", "thread_id", "user_id", "timestamp", "is_original")
 FIELDS = REQUIRED_FIELDS + ("sentiment",)
 
-# canonical raw values, read without the validators
-_BOOLS = {"true": True, "false": False}
-_LABELS = {"": None, **{s: s for s in SENTIMENTS}}
-
 
 def _record(values, where: str) -> PostRecord:
-    """Validate one record's raw values, given in ``FIELDS`` order.
-
-    Canonical values (naive whole-second timestamps, lower-case
-    ``true``/``false`` and labels) are taken directly; anything else goes
-    to the validators, which normalise it or raise.
-    """
+    """Validate one record's raw values, given in ``FIELDS`` order, each
+    through its validator, which normalises it or raises."""
     post_id, thread_id, user_id, raw_ts, raw_orig, raw_label = values
     required = values[:5]
     if None in required or "" in required:
         missing = [f for f, v in zip(REQUIRED_FIELDS, required) if v in (None, "")]
         raise IngestError(f"{where}: missing required field(s) {missing}")
-    try:
-        ts = datetime.fromisoformat(raw_ts)
-    except (TypeError, ValueError):
-        ts = None
-    if ts is None or ts.tzinfo is not None or ts.microsecond or "Z" in raw_ts:
-        ts = _parse_timestamp(str(raw_ts), where)
-    flag = _BOOLS.get(raw_orig) if type(raw_orig) is str else raw_orig
-    if type(flag) is not bool:
-        flag = _parse_bool(raw_orig, where)
-    # lists and dicts are unhashable, so only strings are looked up
-    label = _LABELS.get(raw_label, False) if type(raw_label) is str else False
-    if label is False:
-        label = _parse_sentiment(raw_label, where)
-    return PostRecord(ts, str(post_id), str(thread_id), str(user_id), flag, label)
+    return PostRecord(_parse_timestamp(str(raw_ts), where), str(post_id),
+                      str(thread_id), str(user_id), _parse_bool(raw_orig, where),
+                      _parse_sentiment(raw_label, where))
 
 
 # --- chunked parsing ---
@@ -130,11 +111,7 @@ _LABEL_CODES = {"": -1, **LABEL_CODES}
 # each offset (offset 10, the separator, is ' ' or 'T', checked apart)
 _STAMP_LO = np.frombuffer(b"0000-00-00 00:00:00", np.uint8)
 _STAMP_HI = np.frombuffer(b"9999-99-99T99:99:99", np.uint8)
-_DIGIT_AT = np.flatnonzero(_STAMP_HI == ord("9"))
-_NOT_A_STAMP = "-" * 19
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
-_DAYS_TO_1970 = 719162  # from 0001-01-01, proleptic Gregorian
+_NOT_A_STAMP = "0000-01-01 00:00:00"  # not canonical, but numpy parses it
 
 
 def _stamp_seconds(values):
@@ -142,28 +119,33 @@ def _stamp_seconds(values):
     of which values are canonical; the other seconds are meaningless.
 
     Canonical is 19 ASCII characters ``YYYY-MM-DD[ T]HH:MM:SS`` naming a
-    real second from year 1 on: exactly the strings ``_record`` takes as
-    they are, with nothing to normalise."""
+    real second from year 1 on: exactly the strings ``_parse_timestamp``
+    has nothing to normalise in.  A byte mask checks the shape and rules
+    out year 0; numpy's ``datetime64`` parser checks the calendar."""
     if set(map(type, values)) != {str} or set(map(len, values)) != {19}:
         values = [v if type(v) is str and len(v) == 19 else _NOT_A_STAMP
                   for v in values]
     # one byte per character: a non-ASCII one becomes '?', which no offset allows
     raw = np.frombuffer("".join(values).encode("ascii", "replace"),
                         np.uint8).reshape(-1, 19)
-    digit = raw[:, _DIGIT_AT].astype(np.int64) - ord("0")
-    year = digit[:, :4] @ [1000, 100, 10, 1]
-    month, day, hour, minute, second = (digit[:, 4::2] * 10 + digit[:, 5::2]).T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    in_year = month.clip(0, 12)
     canonical = (((raw >= _STAMP_LO) & (raw <= _STAMP_HI)).all(1)
                  & ((raw[:, 10] == ord(" ")) | (raw[:, 10] == ord("T")))
-                 & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-                 & (day <= _MONTH_DAYS[in_year] + (leap & (in_year == 2)))
-                 & (hour <= 23) & (minute <= 59) & (second <= 59))
-    past = year - 1
-    days = (365 * past + past // 4 - past // 100 + past // 400 - _DAYS_TO_1970
-            + _DAYS_BEFORE_MONTH[in_year] + (leap & (in_year > 2)) + day - 1)
-    return ((days * 24 + hour) * 60 + minute) * 60 + second, canonical
+                 & (raw[:, :4] != ord("0")).any(1))  # numpy has a year 0
+    if not canonical.all():
+        values = [v if ok else _NOT_A_STAMP
+                  for v, ok in zip(values, canonical.tolist())]
+    seconds = np.empty(len(values), np.int64)
+    spans = [(0, len(values))]
+    while spans:
+        lo, hi = spans.pop()
+        try:
+            seconds[lo:hi] = np.array(values[lo:hi], "datetime64[s]").view(np.int64)
+        except ValueError:  # parse each half again, down to the bad stamps
+            if hi - lo == 1:
+                canonical[lo] = False
+            else:
+                spans += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    return seconds, canonical
 
 
 def _lookup(codes: dict, values) -> np.ndarray:
@@ -452,11 +434,11 @@ def add_months(d: date, months: int) -> date:
 
 
 def parse_duration(token: str):
-    """Duration token: '4m' (months) or 'halfmonth'."""
+    """Duration token: '<n>m' (n >= 1 months) or 'halfmonth'."""
     tok = token.strip().lower()
     if tok == "halfmonth":
         return ("halfmonth",)
-    if tok.endswith("m") and tok[:-1].isdigit():
+    if tok.endswith("m") and tok[:-1].isdecimal() and int(tok[:-1]) >= 1:
         return ("months", int(tok[:-1]))
     raise IngestError(f"invalid duration {token!r} (use e.g. '4m' or 'halfmonth')")
 

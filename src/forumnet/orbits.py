@@ -24,6 +24,7 @@ is the ground truth the fast path is tested against.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 from dataclasses import dataclass
@@ -185,41 +186,22 @@ def count_orbits(g: Graph, max_size: int = 4) -> OrbitMatrix:
     return OrbitMatrix(n, orbit_ids, out)
 
 
-def _build_orbit_tables():
+@functools.cache
+def orbit_tables():
     """Per-size lookup: adjacency bitmask -> orbit id of each position.
 
-    Disconnected masks map to None. Built once by matching every labeled
-    graph on k nodes against the reference graphlets over all k! label
-    permutations.
+    Built once by matching every labeled graph on k nodes against the
+    reference graphlets over all k! label permutations.  A disconnected
+    mask matches none of them and maps to None.
     """
     tables = {}
     for k in (2, 3, 4):
-        npairs = k * (k - 1) // 2
-        pairs = PAIR_ORDER[:npairs] if k == 4 else [
-            p for p in PAIR_ORDER if p[0] < k and p[1] < k
-        ]
-        refs = [(e, orbs) for size, e, orbs in _REFERENCE_GRAPHLETS if size == k]
-        ref_masks = {adjacency_mask(k, e): orbs for e, orbs in refs}
-        table = [None] * (1 << npairs)
-        for mask in range(1 << npairs):
-            edges = [pairs[i] for i in range(npairs) if mask >> i & 1]
-            # connectivity check
-            if not edges:
-                continue
-            seen = {edges[0][0]}
-            frontier = [edges[0][0]]
-            adj = {i: set() for i in range(k)}
-            for u, v in edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            while frontier:
-                u = frontier.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            if len(seen) != k:
-                continue
+        pairs = [p for p in PAIR_ORDER if p[1] < k]
+        ref_masks = {adjacency_mask(k, e): orbs
+                     for size, e, orbs in _REFERENCE_GRAPHLETS if size == k}
+        table = [None] * (1 << len(pairs))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
             for perm in itertools.permutations(range(k)):
                 m2 = adjacency_mask(k, ((perm[u], perm[v]) for u, v in edges))
                 if m2 in ref_masks:
@@ -228,16 +210,6 @@ def _build_orbit_tables():
                     break
         tables[k] = table
     return tables
-
-
-_ORBIT_TABLES = None
-
-
-def orbit_tables():
-    global _ORBIT_TABLES
-    if _ORBIT_TABLES is None:
-        _ORBIT_TABLES = _build_orbit_tables()
-    return _ORBIT_TABLES
 
 
 def count_orbits_bruteforce(g: Graph, max_size: int = 4) -> OrbitMatrix:
@@ -265,13 +237,12 @@ def count_orbits_bruteforce(g: Graph, max_size: int = 4) -> OrbitMatrix:
             itertools.chain.from_iterable(itertools.combinations(range(n), k)),
             dtype=np.int64,
         ).reshape(-1, k)
-        npairs = k * (k - 1) // 2
+        pairs = [p for p in PAIR_ORDER if p[1] < k]
         mask = np.zeros(len(combos), dtype=np.int64)
-        pairs = [p for p in PAIR_ORDER if p[0] < k and p[1] < k] if k < 4 else PAIR_ORDER
-        for bit, (a, b) in enumerate(pairs[:npairs]):
+        for bit, (a, b) in enumerate(pairs):
             mask |= Ad[combos[:, a], combos[:, b]].astype(np.int64) << bit
         table = tables[k]
-        orb = np.full((1 << npairs, k), -1, dtype=np.int64)
+        orb = np.full((1 << len(pairs), k), -1, dtype=np.int64)
         for m, orbs in enumerate(table):
             if orbs is not None:
                 orb[m] = orbs

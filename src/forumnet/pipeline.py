@@ -20,7 +20,8 @@ from .ingest import (SENTIMENTS, IngestError, PostTable, WindowSpec,
 from .netemd import DistanceMatrix, OrbitSet, netemd_matrix, pca_netemd_matrix
 from .orbits import ORBITS_BY_SIZE, count_orbits
 from .projection import project_window
-from .report import HeatmapOptions, discordance_csv, render_heatmap, series_csv
+from .report import (check_label_every, discordance_csv, render_heatmap,
+                     series_csv)
 from .sentiment import (DiscordanceParams, discordance_scores,
                         discordance_window_avg, flag_sentiment_changes,
                         infer_discordance, infer_post_sentiment,
@@ -92,11 +93,13 @@ class PipelineConfig:
                 and all(_is_int(k) and k >= 1 for k in self.jumps)):
             raise ValueError(
                 f"jumps must be a list of positive integers, got {self.jumps!r}")
+        if len(set(self.jumps)) < len(self.jumps):
+            raise ValueError(f"jumps must be distinct, got {list(self.jumps)}")
         # validates span/jump compatibility, discordance windows and heatmap
         # options up front
         self.window_spec()
         DiscordanceParams(self.discordance_min, self.discordance_max)
-        HeatmapOptions(label_every=self.heatmap_label_every)
+        check_label_every(self.heatmap_label_every)
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec.from_tokens(self.window_start, self.window_end,
@@ -288,8 +291,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     except ValueError as exc:
         raise PipelineError("compare", exc) from exc
     emit("distances.csv", dmat.to_csv())
-    emit("heatmap.svg", render_heatmap(
-        dmat, HeatmapOptions(label_every=config.heatmap_label_every)))
+    emit("heatmap.svg", render_heatmap(dmat, config.heatmap_label_every))
     if config.comparison == "netemd":
         for idx, oid in enumerate(dmat.feature_ids):
             emit(f"distances_orbit{oid}.csv", dmat.per_orbit_csv(idx))

@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 
 from .netemd import DistanceMatrix
 
+CELL = 24                 # cell edge in px
+MARGIN = 70               # room for axis labels
+DARK = (8, 48, 107)       # minimum distance (most similar)
+LIGHT = (247, 251, 255)   # maximum distance
 
-@dataclass(frozen=True)
-class HeatmapOptions:
-    cell: int = 24           # cell edge in px
-    margin: int = 70         # room for axis labels
-    label_every: int = 1     # draw every k-th axis label
-    dark: tuple = (8, 48, 107)     # minimum distance (most similar)
-    light: tuple = (247, 251, 255)  # maximum distance
 
-    def __post_init__(self):
-        if self.cell < 1 or self.margin < 0 or self.label_every < 1:
-            raise ValueError("invalid heatmap options")
+def check_label_every(label_every: int):
+    if label_every < 1:
+        raise ValueError(f"heatmap label_every must be at least 1, got {label_every}")
 
 
 def _month_label(raw: str) -> str:
@@ -29,22 +25,23 @@ def _month_label(raw: str) -> str:
     return f"{d.month:02d}-{d.year}"
 
 
-def _color(t: float, opts: HeatmapOptions) -> str:
+def _color(t: float) -> str:
     # t = 0 -> dark (similar), t = 1 -> light
     rgb = [
-        round(a + t * (b - a)) for a, b in zip(opts.dark, opts.light)
+        round(a + t * (b - a)) for a, b in zip(DARK, LIGHT)
     ]
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def render_heatmap(d: DistanceMatrix,
-                   opts: HeatmapOptions = HeatmapOptions()) -> str:
-    """Square-cell SVG heatmap of a distance matrix.
+def render_heatmap(d: DistanceMatrix, label_every: int = 1) -> str:
+    """Square-cell SVG heatmap of a distance matrix, with every
+    ``label_every``-th window labelled on both axes.
 
     The minimum distance maps to the darkest hue and the maximum to the
     lightest; ties (constant matrix) render entirely dark. Output is pure
     text with fixed formatting so identical inputs give identical bytes.
     """
+    check_label_every(label_every)
     n = d.size
     if n == 0:
         raise ValueError("empty distance matrix")
@@ -52,7 +49,7 @@ def render_heatmap(d: DistanceMatrix,
     lo = float(vals.min())
     hi = float(vals.max())
     span = hi - lo
-    side = opts.margin + n * opts.cell
+    side = MARGIN + n * CELL
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
@@ -63,24 +60,24 @@ def render_heatmap(d: DistanceMatrix,
         for j in range(n):
             v = float(vals[i, j])
             t = 0.0 if span == 0 else (v - lo) / span
-            x = opts.margin + j * opts.cell
-            y = opts.margin + i * opts.cell
+            x = MARGIN + j * CELL
+            y = MARGIN + i * CELL
             lines.append(
-                f'<rect x="{x}" y="{y}" width="{opts.cell}" '
-                f'height="{opts.cell}" fill="{_color(t, opts)}">'
+                f'<rect x="{x}" y="{y}" width="{CELL}" '
+                f'height="{CELL}" fill="{_color(t)}">'
                 f'<title>{d.labels[i]} vs {d.labels[j]}: {v:.6g}</title></rect>'
             )
     font = 'font-family="monospace" font-size="10"'
-    for k in range(0, n, opts.label_every):
+    for k in range(0, n, label_every):
         text = _month_label(d.labels[k])
-        cx = opts.margin + k * opts.cell + opts.cell // 2
-        cy = opts.margin + k * opts.cell + opts.cell // 2
+        cx = MARGIN + k * CELL + CELL // 2
+        cy = MARGIN + k * CELL + CELL // 2
         lines.append(
-            f'<text x="{cx}" y="{opts.margin - 6}" {font} text-anchor="end" '
-            f'transform="rotate(-60 {cx} {opts.margin - 6})">{text}</text>'
+            f'<text x="{cx}" y="{MARGIN - 6}" {font} text-anchor="end" '
+            f'transform="rotate(-60 {cx} {MARGIN - 6})">{text}</text>'
         )
         lines.append(
-            f'<text x="{opts.margin - 6}" y="{cy + 3}" {font} '
+            f'<text x="{MARGIN - 6}" y="{cy + 3}" {font} '
             f'text-anchor="end">{text}</text>'
         )
     lines.append("</svg>")

@@ -473,12 +473,6 @@ def graph_stats(g: Graph) -> dict:
             "isolated": sum(1 for d in deg if d == 0)}
 
 
-def write_weighted_edge_list(weights: dict) -> str:
-    """Serialize weights as ``u v w`` lines."""
-    lines = [f"{u} {v} {w!r}" for (u, v), w in sorted(weights.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def cohen_kappa(labels_a, labels_b) -> float:
     """Chance-corrected agreement between two equal-length label sequences."""
     a = list(labels_a)

@@ -154,6 +154,7 @@ def test_run_rejects_bad_discordance_windows(posts_csv, tmp_path, capsys):
     assert "discordance window sizes" in capsys.readouterr().err
     assert list(out.iterdir()) == []
     for bad in ({"heatmap_label_every": 0}, {"jumps": [1.5]}, {"jumps": 2},
+                {"jumps": [1, 1]}, {"window_jump": "0m"},
                 {"discordance_min": "2"}, {"sentiment": "yes"}):
         cfg.write_text(json.dumps({
             "input_path": posts_csv, "output_dir": str(out),
@@ -200,6 +201,12 @@ def test_validation_error_exits_one(posts_csv, tmp_path, capsys):
     for jumps in (["0"], ["1", "-1"]):
         assert main(["detect", "--distances", str(dist), "--jumps", *jumps]) == 1
         assert "error: jumps must be positive integers" in capsys.readouterr().err
+    assert main(["detect", "--distances", str(dist), "--jumps", "1", "1"]) == 1
+    assert "error: jumps must be distinct, got [1, 1]" in capsys.readouterr().err
+    for span, jump in (("1m", "0m"), ("0m", "halfmonth")):  # no zero-month step
+        assert main(["windows", "--input", posts_csv, "--start", "2020-01-01",
+                     "--end", "2020-03-01", "--span", span, "--jump", jump]) == 1
+        assert "error: invalid duration '0m'" in capsys.readouterr().err
 
 
 def test_compare_reports_missing_orbit(tmp_path, capsys):

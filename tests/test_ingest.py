@@ -114,8 +114,9 @@ def test_add_months_clamps_day():
 def test_parse_duration():
     assert parse_duration("4m") == ("months", 4)
     assert parse_duration("halfmonth") == ("halfmonth",)
-    with pytest.raises(IngestError):
-        parse_duration("2w")
+    for bad in ("2w", "0m", "00m", "m"):
+        with pytest.raises(IngestError, match="invalid duration"):
+            parse_duration(bad)
 
 
 def test_window_spec_validation():

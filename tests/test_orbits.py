@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from forumnet.graphs import GraphError, build_graph
 from forumnet.orbits import (ORBITS_BY_SIZE, count_orbits,
-                             count_orbits_bruteforce, orbit_matrix_from_csv)
-from oracles import canonical_small, subgraph_frequencies
+                             count_orbits_bruteforce, orbit_matrix_from_csv,
+                             orbit_tables)
+from oracles import canonical_small, connected, subgraph_frequencies
 
 
 def random_graph(n, p, rng):
@@ -176,3 +178,17 @@ def test_column_unknown_orbit():
     om = count_orbits(build_graph(2, [(0, 1)]), max_size=2)
     with pytest.raises(KeyError):
         om.column(3)
+
+
+def test_orbit_tables_map_exactly_the_disconnected_masks_to_none():
+    # bit i of a mask on k nodes is the i-th pair in lexicographic order
+    tables = orbit_tables()
+    found = {}
+    for k in (2, 3, 4):
+        pairs = list(itertools.combinations(range(k), 2))
+        assert len(tables[k]) == 1 << len(pairs)
+        for mask, orbs in enumerate(tables[k]):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            assert (orbs is None) == (not connected(k, edges)), (k, edges)
+        found[k] = sum(orbs is not None for orbs in tables[k])
+    assert found == {2: 1, 3: 4, 4: 38}

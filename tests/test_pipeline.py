@@ -193,6 +193,8 @@ def test_config_rejects_bad_discordance_windows(corpus, tmp_path):
     bad = [
         dict(heatmap_label_every=0), dict(heatmap_label_every=True),
         dict(jumps=(1.5,)), dict(jumps=2), dict(jumps=(True,)),
+        dict(jumps=(1, 1)), dict(jumps=[2, 1, 2]), dict(window_jump="0m"),
+        dict(window_span="0m", window_jump="halfmonth"),
         dict(discordance_min="2"), dict(discordance_max=5.0),
         dict(orbit_max_size=4.0), dict(orbit_max_size=True),
         dict(sentiment="yes"), dict(sentiment=1), dict(workers="4"),

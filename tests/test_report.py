@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from forumnet.netemd import DistanceMatrix
-from forumnet.report import (HeatmapOptions, discordance_csv, render_heatmap,
-                             series_csv)
+from forumnet.report import discordance_csv, render_heatmap, series_csv
 
 
 def dmat():
@@ -34,15 +33,13 @@ def test_heatmap_constant_matrix_renders_dark():
 
 def test_heatmap_options_validation():
     with pytest.raises(ValueError):
-        HeatmapOptions(cell=0)
-    with pytest.raises(ValueError):
-        HeatmapOptions(label_every=0)
+        render_heatmap(dmat(), label_every=0)
     with pytest.raises(ValueError):
         render_heatmap(DistanceMatrix((), np.zeros((0, 0)), None, None))
 
 
 def test_heatmap_label_every():
-    svg = render_heatmap(dmat(), HeatmapOptions(label_every=2))
+    svg = render_heatmap(dmat(), label_every=2)
     assert ">01-2020</text>" in svg
     assert ">02-2020</text>" not in svg
     assert ">03-2020</text>" in svg
